@@ -54,11 +54,28 @@ impl TAllocation {
 
     /// Renders the allocation as `p1->t2, p5->t7`-style text using net names.
     pub fn describe(&self, net: &PetriNet) -> String {
-        self.choices
-            .iter()
-            .map(|&(p, t)| format!("{}->{}", net.place_name(p), net.transition_name(t)))
-            .collect::<Vec<_>>()
-            .join(", ")
+        let mut out = String::new();
+        self.write_description(&mut out, |p| net.place_name(p), |t| net.transition_name(t));
+        out
+    }
+
+    /// Appends the [`describe`](Self::describe) text to `out`, spelling places and
+    /// transitions through the given lookups — for example names already escaped for
+    /// the output format.
+    pub fn write_description<'a>(
+        &self,
+        out: &mut String,
+        place_name: impl Fn(PlaceId) -> &'a str,
+        transition_name: impl Fn(TransitionId) -> &'a str,
+    ) {
+        for (i, &(p, t)) in self.choices.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(place_name(p));
+            out.push_str("->");
+            out.push_str(transition_name(t));
+        }
     }
 }
 
@@ -543,6 +560,20 @@ mod tests {
         assert_eq!(a1.allocated_set(&net).len(), 8);
         assert!(a1.describe(&net).contains("p1->t2"));
         assert!(a1.to_string().starts_with('['));
+    }
+
+    #[test]
+    fn description_lists_every_choice_through_the_lookups() {
+        let net = gallery::choice_chain(2);
+        let allocation = &enumerate_allocations(&net, AllocationOptions::default()).unwrap()[0];
+        assert_eq!(allocation.describe(&net), "c0->a0, c1->a1");
+        let upper: Vec<String> = net
+            .transitions()
+            .map(|t| net.transition_name(t).to_uppercase())
+            .collect();
+        let mut out = String::from("[");
+        allocation.write_description(&mut out, |p| net.place_name(p), |t| &upper[t.index()]);
+        assert_eq!(out, "[c0->A0, c1->A1");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::cache::{CachedResponse, ResultCache};
 use crate::http::{Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use fcpn_codegen::{
     emit_c, emit_rust, synthesize, CEmitOptions, CodeMetrics, RustEmitOptions, SynthesisOptions,
@@ -48,7 +48,7 @@ use fcpn_petri::synthesis as net_synthesis;
 use fcpn_petri::synthesis::{Lts, SynthesisError};
 use fcpn_petri::{
     io::parse_net, net_fingerprint, CancelToken, Fingerprint128, Interrupt, MemoryBudget, PetriNet,
-    ResourceExhausted,
+    ResourceExhausted, TransitionId,
 };
 use fcpn_qss::{
     quasi_static_schedule, AllocationOptions, ComponentFailure, QssError, QssOptions, QssOutcome,
@@ -792,7 +792,7 @@ fn fingerprint_hex(net: &PetriNet) -> String {
     format!("0x{:032x}", net_fingerprint(net))
 }
 
-fn names(net: &PetriNet, transitions: &[fcpn_petri::TransitionId]) -> Json {
+fn names(net: &PetriNet, transitions: &[TransitionId]) -> Json {
     Json::arr(
         transitions
             .iter()
@@ -824,83 +824,135 @@ fn schedule(
 /// Renders the deterministic `/schedule` response body for an outcome. Public so tests
 /// and the load generator can assert the daemon's answers are bit-identical to direct
 /// library calls.
+///
+/// The body holds one cycle (or failure) per T-allocation, so it grows with every free
+/// choice; it is written in one pass into one `String` rather than built as a [`Json`]
+/// tree. Each transition and place name is escaped once per body and its escaped bytes
+/// are copied at every occurrence.
 pub fn schedule_response_body(net: &PetriNet, outcome: &QssOutcome) -> String {
-    let mut pairs = vec![
-        ("net".to_string(), Json::from(net.name())),
-        ("fingerprint".to_string(), Json::from(fingerprint_hex(net))),
-        (
-            "schedulable".to_string(),
-            Json::from(outcome.is_schedulable()),
-        ),
-    ];
+    let names = EscapedNames::of(net);
+    let mut out = String::new();
+    out.push_str("{\"net\":");
+    json::write_string(&mut out, net.name());
+    out.push_str(",\"fingerprint\":");
+    json::write_string(&mut out, &fingerprint_hex(net));
     match outcome {
         QssOutcome::Schedulable(schedule) => {
-            pairs.push((
-                "components_examined".to_string(),
-                Json::from(schedule.cycle_count()),
-            ));
-            pairs.push((
-                "cycles".to_string(),
-                Json::arr(schedule.cycles.iter().map(|cycle| {
-                    Json::obj([
-                        ("allocation", Json::from(cycle.allocation.describe(net))),
-                        ("sequence", names(net, &cycle.sequence)),
-                        (
-                            "counts",
-                            Json::arr(cycle.counts.iter().map(|&c| Json::from(c))),
-                        ),
-                        (
-                            "buffer_bounds",
-                            Json::arr(cycle.buffer_bounds.iter().map(|&b| Json::from(b))),
-                        ),
-                    ])
-                })),
-            ));
+            out.push_str(",\"schedulable\":true,\"components_examined\":");
+            json::write_u64(&mut out, schedule.cycle_count() as u64);
+            out.push_str(",\"cycles\":");
+            write_array(&mut out, &schedule.cycles, |out, cycle| {
+                out.push_str("{\"allocation\":\"");
+                cycle.allocation.write_description(
+                    out,
+                    |p| &names.places[p.index()],
+                    |t| &names.transitions[t.index()],
+                );
+                out.push_str("\",\"sequence\":");
+                names.write_transitions(out, &cycle.sequence);
+                out.push_str(",\"counts\":");
+                write_array(out, &cycle.counts, |out, &c| json::write_u64(out, c));
+                out.push_str(",\"buffer_bounds\":");
+                write_array(out, &cycle.buffer_bounds, |out, &b| json::write_u64(out, b));
+                out.push('}');
+            });
         }
         QssOutcome::NotSchedulable(report) => {
-            pairs.push((
-                "components_examined".to_string(),
-                Json::from(report.components_examined),
-            ));
-            pairs.push((
-                "failures".to_string(),
-                Json::arr(report.failures.iter().map(|failure| {
-                    Json::obj([
-                        ("allocation", Json::from(failure.allocation.as_str())),
-                        ("transitions", names(net, &failure.transitions)),
-                        ("reason", failure_json(net, &failure.failure)),
-                    ])
-                })),
-            ));
+            out.push_str(",\"schedulable\":false,\"components_examined\":");
+            json::write_u64(&mut out, report.components_examined as u64);
+            out.push_str(",\"failures\":");
+            write_array(&mut out, &report.failures, |out, failure| {
+                out.push_str("{\"allocation\":");
+                json::write_string(out, &failure.allocation);
+                out.push_str(",\"transitions\":");
+                names.write_transitions(out, &failure.transitions);
+                out.push_str(",\"reason\":");
+                write_failure(out, &names, &failure.failure);
+                out.push('}');
+            });
         }
     }
-    Json::Obj(pairs).render()
+    out.push('}');
+    // The result cache keeps the body: hand back what the estimates over-reserved.
+    out.shrink_to_fit();
+    out
 }
 
-fn failure_json(net: &PetriNet, failure: &ComponentFailure) -> Json {
-    match failure {
-        ComponentFailure::Inconsistent { uncovered } => Json::obj([
-            ("kind", Json::from("inconsistent")),
-            ("uncovered", names(net, uncovered)),
-        ]),
-        ComponentFailure::SourceNotCovered { source } => Json::obj([
-            ("kind", Json::from("source-not-covered")),
-            ("source", Json::from(net.transition_name(*source))),
-        ]),
-        ComponentFailure::Deadlock { remaining, fired } => Json::obj([
-            ("kind", Json::from("deadlock")),
-            (
-                "remaining",
-                Json::arr(remaining.iter().map(|&(t, owed)| {
-                    Json::obj([
-                        ("transition", Json::from(net.transition_name(t))),
-                        ("owed", Json::from(owed)),
-                    ])
-                })),
-            ),
-            ("fired", names(net, fired)),
-        ]),
+/// The transition and place names of a net, JSON-escaped without quotes.
+struct EscapedNames {
+    transitions: Vec<String>,
+    places: Vec<String>,
+}
+
+impl EscapedNames {
+    fn of(net: &PetriNet) -> Self {
+        let escape = |name: &str| {
+            let mut out = String::with_capacity(name.len());
+            json::write_escaped(&mut out, name);
+            out
+        };
+        EscapedNames {
+            transitions: net
+                .transitions()
+                .map(|t| escape(net.transition_name(t)))
+                .collect(),
+            places: net.places().map(|p| escape(net.place_name(p))).collect(),
+        }
     }
+
+    fn write_transition(&self, out: &mut String, t: TransitionId) {
+        out.push('"');
+        out.push_str(&self.transitions[t.index()]);
+        out.push('"');
+    }
+
+    fn write_transitions(&self, out: &mut String, ts: &[TransitionId]) {
+        write_array(out, ts, |out, &t| self.write_transition(out, t));
+    }
+}
+
+/// Writes `items` as a JSON array. Once the first item is written, `out` reserves
+/// room for the rest at that item's size plus an eighth: the items of one body are
+/// alike, so a body of thousands of cycles grows once instead of doubling its way up.
+fn write_array<T>(out: &mut String, items: &[T], mut write_item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    if let Some((first, rest)) = items.split_first() {
+        let start = out.len();
+        write_item(out, first);
+        let estimate = (out.len() - start + 1) * rest.len();
+        out.reserve(estimate + estimate / 8 + 1);
+        for item in rest {
+            out.push(',');
+            write_item(out, item);
+        }
+    }
+    out.push(']');
+}
+
+fn write_failure(out: &mut String, names: &EscapedNames, failure: &ComponentFailure) {
+    match failure {
+        ComponentFailure::Inconsistent { uncovered } => {
+            out.push_str("{\"kind\":\"inconsistent\",\"uncovered\":");
+            names.write_transitions(out, uncovered);
+        }
+        ComponentFailure::SourceNotCovered { source } => {
+            out.push_str("{\"kind\":\"source-not-covered\",\"source\":");
+            names.write_transition(out, *source);
+        }
+        ComponentFailure::Deadlock { remaining, fired } => {
+            out.push_str("{\"kind\":\"deadlock\",\"remaining\":");
+            write_array(out, remaining, |out, &(t, owed)| {
+                out.push_str("{\"transition\":");
+                names.write_transition(out, t);
+                out.push_str(",\"owed\":");
+                json::write_u64(out, owed);
+                out.push('}');
+            });
+            out.push_str(",\"fired\":");
+            names.write_transitions(out, fired);
+        }
+    }
+    out.push('}');
 }
 
 fn qss_error_response(net: &PetriNet, error: &QssError) -> Response {

@@ -6,6 +6,10 @@
 //! order); the parser accepts standard JSON with a nesting-depth limit so a hostile
 //! request can never blow the stack.
 //!
+//! The string escaper and the integer writer are shared with the daemon's one-pass
+//! `/schedule` body, which writes straight into a `String` instead of building a tree,
+//! so every body the daemon sends spells strings and integers the same way.
+//!
 //! # Example
 //!
 //! ```
@@ -21,7 +25,7 @@
 //! assert_eq!(back.get("states").and_then(Json::as_u64), Some(42));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value: the writer's input and the parser's output.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +166,14 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => match u64::try_from(*v) {
+                Ok(v) => write_u64(out, v),
+                // Negative or past u64: no count the daemon reports, so the standard
+                // formatter's speed is fine.
+                Err(_) => {
+                    let _ = write!(out, "{v}");
+                }
+            },
             Json::Float(v) => {
                 if v.is_finite() {
                     // Fixed notation with trailing zeros trimmed: stable, exponent-free
@@ -179,7 +190,7 @@ impl Json {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -196,7 +207,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -212,22 +223,54 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    write_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends the JSON escape of `s` to `out`, without the surrounding quotes, so callers
+/// can escape a name once and splice it into longer strings. Runs of bytes that need
+/// no escape are copied whole.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // Every byte that needs an escape is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Appends `v` to `out` in decimal without allocating.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// A parse failure: byte offset and message.
@@ -433,12 +476,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries are valid).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one push. Both are
+                // ASCII, so the run ends on a char boundary of the `&str` input.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -469,6 +515,58 @@ mod tests {
         let text = value.render();
         assert_eq!(text, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(parse(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn escaper_matches_a_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            &ascii[..],
+            "",
+            "plain",
+            "ü→τ 😀",
+            "\u{1}x\u{1f}ü\"",
+            "tail\\",
+        ] {
+            assert_eq!(Json::from(s).render(), reference(s), "{s:?}");
+            assert_eq!(parse(&Json::from(s).render()).unwrap(), Json::from(s));
+        }
+    }
+
+    #[test]
+    fn integers_render_like_display() {
+        for v in [
+            0,
+            7,
+            10,
+            -1,
+            i128::from(u64::MAX),
+            i128::from(u64::MAX) + 1,
+            i128::from(i64::MIN),
+            i128::MIN,
+            i128::MAX,
+        ] {
+            assert_eq!(Json::Int(v).render(), v.to_string());
+        }
+        let mut out = String::from("x");
+        write_u64(&mut out, u64::MAX);
+        assert_eq!(out, format!("x{}", u64::MAX));
     }
 
     #[test]
