@@ -71,14 +71,7 @@ struct ExploreCase {
     options: ReachabilityOptions,
 }
 
-/// One engine configuration measured per case, next to the naive baseline.
-struct EngineConfig {
-    threads: usize,
-    width: TokenWidth,
-}
-
 struct EngineRow {
-    threads: usize,
     /// Resolved width name (`Auto` resolves at explore time).
     width: &'static str,
     best_ms: f64,
@@ -153,30 +146,9 @@ fn measure_synthesis(label: &'static str, net: &PetriNet) -> SynthesisRow {
 }
 
 fn measure_explore(case: &ExploreCase) -> ExploreRow {
-    let configs = [
-        EngineConfig {
-            threads: 1,
-            width: TokenWidth::U64,
-        },
-        EngineConfig {
-            threads: 1,
-            width: TokenWidth::Auto,
-        },
-        EngineConfig {
-            threads: 2,
-            width: TokenWidth::Auto,
-        },
-        EngineConfig {
-            threads: 4,
-            width: TokenWidth::Auto,
-        },
-    ];
-    let explore_options = |c: &EngineConfig| ExploreOptions {
-        reach: case.options,
-        threads: c.threads,
-        width: c.width,
-        ..ExploreOptions::default()
-    };
+    // One engine row per width, next to the naive baseline; the first is the
+    // `speedup_vs_seq_u64` reference.
+    let widths = [TokenWidth::U64, TokenWidth::Auto];
 
     let reference = StateSpace::explore(&case.net, case.options);
     let (states, edges, complete) = (
@@ -190,8 +162,8 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
     // resolved width name is captured from the first round's space rather than from
     // extra untimed explorations.
     let mut naive_times: Vec<f64> = Vec::new();
-    let mut engine_times: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    let mut resolved_widths: Vec<&'static str> = vec![""; configs.len()];
+    let mut engine_times: Vec<Vec<f64>> = vec![Vec::new(); widths.len()];
+    let mut resolved_widths: Vec<&'static str> = vec![""; widths.len()];
     for _ in 0..samples() {
         let start = Instant::now();
         black_box(ReachabilityGraph::explore_naive(
@@ -199,8 +171,12 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
             case.options,
         ));
         naive_times.push(start.elapsed().as_secs_f64());
-        for (i, config) in configs.iter().enumerate() {
-            let options = explore_options(config);
+        for (i, &requested) in widths.iter().enumerate() {
+            let options = ExploreOptions {
+                reach: case.options,
+                width: requested,
+                ..ExploreOptions::default()
+            };
             let start = Instant::now();
             let space = StateSpace::explore_with(black_box(&case.net), &options);
             let width = black_box(space.token_width());
@@ -210,26 +186,20 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
         }
     }
 
-    let engine = configs
+    let engine = engine_times
         .iter()
-        .enumerate()
-        .map(|(i, config)| {
-            let times = &engine_times[i];
-            EngineRow {
-                threads: config.threads,
-                width: resolved_widths[i],
-                best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
-                speedup_vs_naive: median(
-                    naive_times.iter().zip(times).map(|(n, e)| n / e).collect(),
-                ),
-                speedup_vs_seq_u64: median(
-                    engine_times[0]
-                        .iter()
-                        .zip(times)
-                        .map(|(u, e)| u / e)
-                        .collect(),
-                ),
-            }
+        .zip(resolved_widths)
+        .map(|(times, width)| EngineRow {
+            width,
+            best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
+            speedup_vs_naive: median(naive_times.iter().zip(times).map(|(n, e)| n / e).collect()),
+            speedup_vs_seq_u64: median(
+                engine_times[0]
+                    .iter()
+                    .zip(times)
+                    .map(|(u, e)| u / e)
+                    .collect(),
+            ),
         })
         .collect();
 
@@ -617,12 +587,8 @@ fn main() {
         );
         for engine in &row.engine {
             eprintln!(
-                "    threads={} width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs seq-u64 {:>5.2}x",
-                engine.threads,
-                engine.width,
-                engine.best_ms,
-                engine.speedup_vs_naive,
-                engine.speedup_vs_seq_u64
+                "    width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs seq-u64 {:>5.2}x",
+                engine.width, engine.best_ms, engine.speedup_vs_naive, engine.speedup_vs_seq_u64
             );
         }
     }
@@ -830,8 +796,9 @@ fn main() {
     json.push_str("  \"schema\": \"fcpn-bench/statespace-v7\",\n");
     json.push_str(&format!("  \"samples_per_case\": {},\n", samples()));
     // Multi-threaded rows are only meaningful relative to this: with a single host
-    // core the parallel explorer serialises onto one CPU and pays pure coordination
-    // overhead, so its speedup reads < 1 regardless of implementation quality.
+    // core the sharded scheduler sweep serialises onto one CPU and pays pure
+    // coordination overhead, so its speedup reads < 1 regardless of implementation
+    // quality.
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str("  \"explore\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -847,11 +814,11 @@ fn main() {
             row.naive_ms,
         ));
         json.push_str("     \"engine\": [\n");
+        // `threads` stays in the v7 schema; exploration is single-threaded.
         for (j, engine) in row.engine.iter().enumerate() {
             json.push_str(&format!(
-                "       {{\"threads\": {}, \"token_width\": \"{}\", \"best_ms\": {:.3}, \
+                "       {{\"threads\": 1, \"token_width\": \"{}\", \"best_ms\": {:.3}, \
                  \"speedup_vs_naive\": {:.2}, \"speedup_vs_seq_u64\": {:.2}}}{}\n",
-                engine.threads,
                 engine.width,
                 engine.best_ms,
                 engine.speedup_vs_naive,

@@ -1,10 +1,9 @@
 //! Boundedness analysis: k-boundedness over the explored state space and structural
 //! unboundedness detection via a coverability (Karp–Miller style) search.
 
-use super::reachability::ReachabilityOptions;
-use crate::budget::{Interrupt, MemoryBudget};
-use crate::cancel::{CancelGate, CancelToken};
-use crate::statespace::{ExploreOptions, MarkingArena, StateSpace};
+use crate::budget::Interrupt;
+use crate::cancel::CancelGate;
+use crate::statespace::{ExploreOptions, MarkingArena};
 use crate::{PetriNet, PlaceId, TransitionId};
 use std::collections::VecDeque;
 
@@ -68,25 +67,15 @@ fn strictly_covers(a: &[u64], b: &[u64]) -> bool {
 /// per successor) and successors are generated with the allocation-free
 /// [`PetriNet::fire_into`] fast path.
 pub fn check_boundedness(net: &PetriNet, options: BoundednessOptions) -> Boundedness {
-    check_boundedness_covering(
-        net,
-        options,
-        &CancelToken::never(),
-        &MemoryBudget::unlimited(),
-    )
-    .expect("never-firing guards cannot interrupt")
+    check_boundedness_with(net, options, &ExploreOptions::default())
 }
 
-/// [`check_boundedness`] with explicit engine configuration.
+/// [`check_boundedness`] under the cancellation token and memory budget of `explore`.
 ///
-/// With `explore.threads > 1` a (parallel, narrow-arena) reachability exploration is run
-/// first, bounded by `options.max_nodes` states and `explore.reach.max_tokens_per_place`
-/// tokens per place: a *complete* exploration enumerates the full reachable set, which
-/// proves boundedness directly with `k` the largest token count observed — the same `k`
-/// the covering search reports. When the exploration is truncated (by either bound, in
-/// particular for every unbounded net) the verdict falls back to the sequential
-/// Karp–Miller covering search, whose ancestor walks are inherently order-dependent and
-/// therefore not sharded.
+/// Only `explore.cancel` and `explore.memory` are read: the verdict comes from the
+/// covering search alone, so it is the same for every `threads`, `width` and `reach`
+/// setting. A caller that already holds a *complete* state space can skip the search,
+/// since `k` is then the space's largest token count.
 pub fn check_boundedness_with(
     net: &PetriNet,
     options: BoundednessOptions,
@@ -97,10 +86,9 @@ pub fn check_boundedness_with(
 }
 
 /// [`check_boundedness_with`] for callers that arm `explore.cancel` or
-/// `explore.memory`: both the parallel reachability prepass and the covering search
-/// poll the token, charge the budget, and surface an [`Interrupt`] instead of a
-/// verdict when either guard trips. Never-firing guards make this identical to
-/// [`check_boundedness_with`].
+/// `explore.memory`: the covering search polls the token, charges the budget, and
+/// surfaces an [`Interrupt`] instead of a verdict when either guard trips.
+/// Never-firing guards make this identical to [`check_boundedness_with`].
 ///
 /// # Errors
 ///
@@ -111,39 +99,11 @@ pub fn try_check_boundedness_with(
     options: BoundednessOptions,
     explore: &ExploreOptions,
 ) -> Result<Boundedness, Interrupt> {
-    if explore.resolved_threads() > 1 {
-        let reach = ReachabilityOptions {
-            max_markings: options.max_nodes,
-            max_tokens_per_place: explore.reach.max_tokens_per_place,
-        };
-        let space = StateSpace::try_explore_with(
-            net,
-            &ExploreOptions {
-                reach,
-                ..explore.clone()
-            },
-        )?;
-        if space.is_complete() {
-            return Ok(Boundedness::Bounded {
-                k: space.max_tokens_observed(),
-            });
-        }
-    }
-    check_boundedness_covering(net, options, &explore.cancel, &explore.memory)
-}
-
-/// The sequential coverability-style covering search (see [`check_boundedness`]).
-fn check_boundedness_covering(
-    net: &PetriNet,
-    options: BoundednessOptions,
-    cancel: &CancelToken,
-    memory: &MemoryBudget,
-) -> Result<Boundedness, Interrupt> {
     let places = net.place_count();
     // Arena row (u64 words) + raw hash + amortized interner slot, plus the parent
     // pointer and firing label — the covering search's per-node footprint.
     let node_bytes = (places * 8) as u64 + 8 + 24 + 16;
-    let mut meter = memory.meter();
+    let mut meter = explore.memory.meter();
     meter.charge(node_bytes, "boundedness")?;
     let mut arena = MarkingArena::new(places);
     arena.intern(net.initial_marking().as_slice());
@@ -159,7 +119,7 @@ fn check_boundedness_covering(
     let mut cancel_gate = CancelGate::new(crate::statespace::CANCEL_STRIDE);
 
     while let Some(node) = queue.pop_front() {
-        cancel_gate.check(cancel)?;
+        cancel_gate.check(&explore.cancel)?;
         if arena.len() > options.max_nodes {
             return Ok(Boundedness::Unknown);
         }
@@ -308,32 +268,6 @@ mod tests {
         let result = check_boundedness(&net, BoundednessOptions { max_nodes: 2 });
         assert_eq!(result, Boundedness::Unknown);
         assert_eq!(is_safe(&net, BoundednessOptions { max_nodes: 2 }), None);
-    }
-
-    #[test]
-    fn parallel_fast_path_agrees_with_covering_search() {
-        use crate::gallery;
-        let explore = ExploreOptions {
-            threads: 2,
-            ..ExploreOptions::default()
-        };
-        // Bounded: the parallel fast path proves it with the same k.
-        let net = gallery::marked_ring(6, 3);
-        assert_eq!(
-            check_boundedness_with(&net, BoundednessOptions::default(), &explore),
-            check_boundedness(&net, BoundednessOptions::default())
-        );
-        // Unbounded: the exploration is truncated, so the verdict falls back to the
-        // covering search and keeps its witness.
-        let mut b = NetBuilder::new("source");
-        let t1 = b.transition("t1");
-        let p = b.place("p", 0);
-        b.arc_t_p(t1, p, 1).unwrap();
-        let net = b.build().unwrap();
-        assert_eq!(
-            check_boundedness_with(&net, BoundednessOptions::default(), &explore),
-            check_boundedness(&net, BoundednessOptions::default())
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   every engine entry point costs nothing for callers that never limit;
 //! * an armed budget is one `Arc` holding the byte limit, a shared in-use counter and
 //!   a **sticky** exhaustion flag: once any charge has failed, every later observer
-//!   agrees, which makes racy polling across the parallel explorer's shards safe;
+//!   agrees, which makes racy polling from any thread safe;
 //! * hot loops charge through a [`BudgetMeter`] — a per-caller reservation cache that
 //!   draws down a local allowance and only touches the shared counter when the
 //!   allowance is empty, so per-element charges cost an integer compare, not an
@@ -24,7 +24,7 @@
 //!
 //! Determinism: charges the engines issue are pure functions of the canonical
 //! exploration (the cost model below), so the same net under the same budget fails at
-//! the same stage with the same error — sequential or parallel, any thread count. An
+//! the same stage with the same error — any token width, any sweep thread count. An
 //! armed budget that is never exhausted perturbs nothing: outputs are bit-for-bit
 //! identical to the unlimited default.
 
@@ -179,8 +179,8 @@ impl MemoryBudget {
     }
 
     /// Whether any charge has ever failed. Sticky: once `true`, `true` forever — the
-    /// same monotonicity [`CancelToken`](crate::CancelToken) has, so the parallel
-    /// explorer's coordinator can poll it racily.
+    /// same monotonicity [`CancelToken`](crate::CancelToken) has, so concurrent
+    /// workers can poll it racily.
     #[must_use]
     pub fn is_exhausted(&self) -> bool {
         self.inner
@@ -281,8 +281,8 @@ impl Eq for MemoryBudget {}
 /// draws it down without touching the shared counter and refills it in fixed chunks
 /// when it runs dry. Because the refill points are a pure function of the sequence of
 /// charges, two engines issuing the same charge sequence against equal budgets fail
-/// at the same charge with the same error — the property the sequential-vs-parallel
-/// determinism tests pin.
+/// at the same charge with the same error — the property the exhaustion-determinism
+/// tests pin.
 ///
 /// Dropping the meter returns the unspent allowance to the budget.
 #[derive(Debug)]

@@ -1,8 +1,8 @@
 //! Cooperative cancellation for long-running engine loops.
 //!
 //! The scheduling pipeline is worst-case exponential in the number of free choices, so
-//! every hot loop in the workspace — the sequential and sharded state-space explorers,
-//! the gray-code allocation sweep, the RTOS batch simulator — accepts a [`CancelToken`]
+//! every hot loop in the workspace — the state-space explorer, the gray-code
+//! allocation sweep, the RTOS batch simulator — accepts a [`CancelToken`]
 //! and polls it cooperatively. A token combines two triggers behind one cheap check:
 //!
 //! * an **explicit flag** ([`CancelToken::cancel`]), set by another thread (a server

@@ -26,7 +26,7 @@
 
 use super::arena::{widen_arena, TokenWord};
 use super::interner::{Probe, SliceTable};
-use super::{mix, parallel, place_key, raw_hash, StateId};
+use super::{mix, place_key, raw_hash, StateId};
 use crate::analysis::ReachabilityOptions;
 use crate::budget::{Interrupt, MemoryBudget};
 use crate::cancel::{CancelGate, CancelToken};
@@ -42,22 +42,21 @@ pub(crate) const CANCEL_STRIDE: u64 = 256;
 /// Canonical byte cost charged per admitted state: the arena row plus the raw hash
 /// plus the (amortized, ~50% load) interner slot.
 ///
-/// The explorers charge this **canonical cost model** — a pure function of the
-/// admission sequence — rather than their physical allocations, so the sequential
-/// and sharded engines exhaust a [`MemoryBudget`] at exactly the same state with
-/// exactly the same error. Physical overshoot (shard-transient states, `Vec` growth
-/// slack) is bounded by a small multiple of the admitted bytes and by the
-/// `max_markings` clamp.
+/// The explorer charges this **canonical cost model** — a pure function of the
+/// admission sequence — rather than its physical allocations, so the same net under
+/// the same [`MemoryBudget`] exhausts at exactly the same state with exactly the same
+/// error on every run. Physical overshoot (`Vec` growth slack) is bounded by a small
+/// multiple of the admitted bytes and by the `max_markings` clamp.
 #[inline]
 pub(crate) fn state_cost<W>(places: usize) -> u64 {
     (places * std::mem::size_of::<W>()) as u64 + 8 + 24
 }
 
 /// Canonical byte cost charged per admitted CSR edge (`edge_to` + `edge_transition`).
-pub(crate) const EDGE_COST: u64 = 8;
+const EDGE_COST: u64 = 8;
 
-/// Stage label of the explorers' budget charges.
-pub(crate) const STAGE_REACHABILITY: &str = "reachability";
+/// Stage label of the explorer's budget charges.
+const STAGE_REACHABILITY: &str = "reachability";
 
 /// The storage width of the token arena.
 ///
@@ -107,19 +106,21 @@ impl TokenWidth {
     }
 }
 
-/// Exploration configuration beyond the [`ReachabilityOptions`] budget: thread count and
-/// token-arena width. The analysis entry points (`find_deadlock_with`,
-/// `check_liveness_with`, …) accept this struct to expose the same knobs.
+/// Exploration configuration beyond the [`ReachabilityOptions`] budget: token-arena
+/// width and the cancellation and memory guards. The analysis entry points
+/// (`find_deadlock_with`, `check_liveness_with`, …) accept this struct to expose the
+/// same knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// State budget and token cut-off (identical semantics to the sequential explorer).
+    /// State budget and token cut-off (identical semantics to the naive explorer).
     pub reach: ReachabilityOptions,
-    /// Worker threads: `1` explores sequentially, `n > 1` runs the sharded parallel
-    /// explorer with `n` workers, `0` uses [`std::thread::available_parallelism`].
+    /// Ignored: exploration always runs on the calling thread, and every value yields
+    /// the space `threads: 1` yields, bit for bit. The field stays so that code which
+    /// sets it keeps compiling.
     pub threads: usize,
     /// Token-arena width selection.
     pub width: TokenWidth,
-    /// Cooperative cancellation: the explorers poll this token every few hundred
+    /// Cooperative cancellation: the explorer polls this token every few hundred
     /// expanded states and abandon the exploration with [`Interrupt::Cancelled`] when
     /// it fires. The default ([`CancelToken::never`]) costs nothing and never fires; a
     /// token that never fires leaves the result bit-for-bit identical to the default.
@@ -148,19 +149,6 @@ impl From<ReachabilityOptions> for ExploreOptions {
         ExploreOptions {
             reach,
             ..ExploreOptions::default()
-        }
-    }
-}
-
-impl ExploreOptions {
-    /// The worker count the exploration will actually use: `threads`, with `0` resolved
-    /// through [`std::thread::available_parallelism`].
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
         }
     }
 }
@@ -199,9 +187,9 @@ fn select_width(net: &PetriNet, initial: &[u64], options: &ExploreOptions) -> To
     }
 }
 
-/// Flattened per-net firing tables shared by the sequential explorer, every parallel
-/// worker and the firing session: CSR input arcs and delta rows, per-transition constant
-/// hash shifts, and the per-place consumer bitmasks driving candidate generation.
+/// Flattened per-net firing tables shared by the explorer and the firing session: CSR
+/// input arcs and delta rows, per-transition constant hash shifts, and the per-place
+/// consumer bitmasks driving candidate generation.
 #[derive(Debug, Clone)]
 pub(crate) struct NetTables {
     pub(crate) places: usize,
@@ -347,17 +335,17 @@ impl NetTables {
 }
 
 /// The width-generic output of an exploration, before widening into a [`StateSpace`].
-pub(crate) struct RawSpace<W> {
-    pub(crate) arena: Vec<W>,
-    pub(crate) table: SliceTable,
-    pub(crate) fwd_offsets: Vec<u32>,
-    pub(crate) edge_to: Vec<u32>,
-    pub(crate) edge_transition: Vec<u32>,
-    pub(crate) complete: bool,
-    pub(crate) frontier: Vec<StateId>,
+struct RawSpace<W> {
+    arena: Vec<W>,
+    table: SliceTable,
+    fwd_offsets: Vec<u32>,
+    edge_to: Vec<u32>,
+    edge_transition: Vec<u32>,
+    complete: bool,
+    frontier: Vec<StateId>,
 }
 
-/// The sequential breadth-first explorer, generic over the arena word.
+/// The breadth-first explorer, generic over the arena word.
 ///
 /// The hot loop works entirely in place: the current state's tokens sit in one scratch
 /// buffer, each enabled transition's precomputed delta row is applied to it, the
@@ -485,9 +473,9 @@ fn explore_seq<W: TokenWord>(
 ///
 /// Construction ([`StateSpace::explore`]) is a breadth-first enumeration with the same
 /// budget/cut-off semantics as [`ReachabilityOptions`]; queries run over CSR adjacency.
-/// [`StateSpace::explore_with`] additionally exposes the token-width and thread knobs;
-/// whatever variant builds the space, the resulting graph is canonical — identical ids,
-/// edges and frontier across widths and thread counts.
+/// [`StateSpace::explore_with`] additionally exposes the token-width knob and the
+/// guards; whatever width builds the space, the resulting graph is canonical —
+/// identical ids, edges and frontier across widths.
 #[derive(Debug)]
 pub struct StateSpace {
     places: usize,
@@ -552,7 +540,7 @@ impl StateSpace {
         Self::explore_from_with(net, initial, &ExploreOptions::from(options))
     }
 
-    /// Explores with explicit width/thread configuration from the initial marking.
+    /// Explores with explicit [`ExploreOptions`] from the initial marking.
     ///
     /// # Panics
     ///
@@ -564,7 +552,7 @@ impl StateSpace {
             .expect("exploration interrupted; use try_explore_with with armed guards")
     }
 
-    /// Explores with explicit width/thread configuration from an arbitrary marking.
+    /// Explores with explicit [`ExploreOptions`] from an arbitrary marking.
     ///
     /// # Panics
     ///
@@ -606,15 +594,12 @@ impl StateSpace {
     ) -> Result<Self, Interrupt> {
         assert_eq!(initial.len(), net.place_count(), "marking length mismatch");
         let width = select_width(net, initial.as_slice(), options);
-        let threads = options.resolved_threads();
         let tables = NetTables::build(net);
         match width {
-            TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, threads, width),
-            TokenWidth::U16 => {
-                Self::run::<u16>(&tables, initial.as_slice(), options, threads, width)
-            }
+            TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, width),
+            TokenWidth::U16 => Self::run::<u16>(&tables, initial.as_slice(), options, width),
             TokenWidth::Auto | TokenWidth::U64 => {
-                Self::run::<u64>(&tables, initial.as_slice(), options, threads, width)
+                Self::run::<u64>(&tables, initial.as_slice(), options, width)
             }
         }
     }
@@ -623,43 +608,23 @@ impl StateSpace {
         tables: &NetTables,
         initial: &[u64],
         options: &ExploreOptions,
-        threads: usize,
         width: TokenWidth,
     ) -> Result<Self, Interrupt> {
-        let raw = if threads > 1 {
-            parallel::explore_parallel::<W>(
-                tables,
-                initial,
-                options.reach,
-                threads,
-                &options.cancel,
-                &options.memory,
-            )?
-        } else {
-            explore_seq::<W>(
-                tables,
-                initial,
-                options.reach,
-                &options.cancel,
-                &options.memory,
-            )?
-        };
+        let raw = explore_seq::<W>(
+            tables,
+            initial,
+            options.reach,
+            &options.cancel,
+            &options.memory,
+        )?;
         // The narrow arena widens to `u64` words for the canonical [`StateSpace`];
         // charge the width delta so a budget covers what the caller actually keeps.
         let widen_extra = (8 - std::mem::size_of::<W>()) as u64 * raw.arena.len() as u64;
         if widen_extra > 0 {
             options.memory.charge(widen_extra, "widen")?;
         }
-        Ok(Self::from_raw(raw, tables.places, width))
-    }
-
-    pub(crate) fn from_raw<W: TokenWord>(
-        raw: RawSpace<W>,
-        places: usize,
-        width: TokenWidth,
-    ) -> Self {
-        StateSpace {
-            places,
+        Ok(StateSpace {
+            places: tables.places,
             arena: widen_arena(raw.arena),
             table: raw.table,
             fwd_offsets: raw.fwd_offsets,
@@ -669,7 +634,7 @@ impl StateSpace {
             complete: raw.complete,
             frontier: raw.frontier,
             width,
-        }
+        })
     }
 
     /// The token width the arena was explored with (never [`TokenWidth::Auto`]).
@@ -1092,6 +1057,22 @@ mod tests {
         );
     }
 
+    /// Asserts `space` is the graph `baseline` is: same markings under the same ids,
+    /// same out-edges, same completeness and frontier.
+    fn assert_same_space(space: &StateSpace, baseline: &StateSpace, tag: &str) {
+        assert_eq!(space.state_count(), baseline.state_count(), "{tag}: states");
+        assert_eq!(space.edge_count(), baseline.edge_count(), "{tag}: edges");
+        assert_eq!(space.is_complete(), baseline.is_complete(), "{tag}");
+        assert_eq!(space.frontier(), baseline.frontier(), "{tag}: frontier");
+        for id in 0..baseline.state_count() as StateId {
+            assert_eq!(space.tokens(id), baseline.tokens(id), "{tag}: marking {id}");
+            assert!(
+                space.successors(id).eq(baseline.successors(id)),
+                "{tag}: out-edges of {id}"
+            );
+        }
+    }
+
     #[test]
     fn forced_widths_explore_identically() {
         let net = gallery::figure5();
@@ -1099,32 +1080,66 @@ mod tests {
             max_markings: 500,
             max_tokens_per_place: 4,
         };
-        let baseline = StateSpace::explore_with(
-            &net,
-            &ExploreOptions {
-                reach,
-                threads: 1,
-                width: TokenWidth::U64,
-                ..ExploreOptions::default()
-            },
-        );
-        for width in [TokenWidth::Auto, TokenWidth::U8, TokenWidth::U16] {
-            let space = StateSpace::explore_with(
+        let explore = |width| {
+            StateSpace::explore_with(
                 &net,
                 &ExploreOptions {
                     reach,
-                    threads: 1,
                     width,
                     ..ExploreOptions::default()
                 },
-            );
-            assert_eq!(space.state_count(), baseline.state_count());
-            assert_eq!(space.edge_count(), baseline.edge_count());
-            assert_eq!(space.is_complete(), baseline.is_complete());
-            assert_eq!(space.frontier(), baseline.frontier());
-            for id in 0..baseline.state_count() as StateId {
-                assert_eq!(space.tokens(id), baseline.tokens(id));
+            )
+        };
+        let baseline = explore(TokenWidth::U64);
+        for width in [TokenWidth::Auto, TokenWidth::U8, TokenWidth::U16] {
+            assert_same_space(&explore(width), &baseline, &format!("{width:?}"));
+        }
+    }
+
+    #[test]
+    fn threads_field_is_ignored() {
+        // Callers outside the crate still set `threads`; every value must yield the
+        // `threads: 1` space bit for bit, complete, truncated or cut off.
+        let truncated = ReachabilityOptions {
+            max_markings: 700,
+            max_tokens_per_place: 4,
+        };
+        let cut_off = ReachabilityOptions {
+            max_markings: 100,
+            max_tokens_per_place: 0,
+        };
+        for (net, reach) in [
+            (gallery::marked_ring(6, 3), ReachabilityOptions::default()),
+            (gallery::figure5(), truncated),
+            (gallery::figure5(), cut_off),
+        ] {
+            let explore = |threads| {
+                StateSpace::explore_with(
+                    &net,
+                    &ExploreOptions {
+                        reach,
+                        threads,
+                        ..ExploreOptions::default()
+                    },
+                )
+            };
+            let baseline = explore(1);
+            for threads in [0, 2, 4] {
+                let tag = format!("{} threads={threads}", net.name());
+                assert_same_space(&explore(threads), &baseline, &tag);
             }
         }
+    }
+
+    #[test]
+    fn pre_fired_token_cancels_exploration_promptly() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let options = ExploreOptions {
+            cancel,
+            ..ExploreOptions::default()
+        };
+        let result = StateSpace::try_explore_with(&gallery::marked_ring(8, 4), &options);
+        assert_eq!(result.err(), Some(Interrupt::Cancelled));
     }
 }

@@ -83,8 +83,8 @@ impl SliceTable {
     }
 
     /// Inserts a `(hash, id)` pair known not to be present, skipping the slice
-    /// comparison. Used when re-indexing states whose distinctness is already
-    /// established (e.g. the canonical renumbering pass of the parallel explorer).
+    /// comparison. Used when the caller has already established distinctness (the
+    /// coverability graph inserts a node only after a lookup missed).
     pub(crate) fn insert_unique(&mut self, hash: u64, id: StateId) {
         if self.needs_growth() {
             self.grow();

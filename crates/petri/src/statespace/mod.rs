@@ -18,10 +18,6 @@
 //!   successor marking is hashed exactly once, in its scratch buffer, before any copy;
 //! * fires transitions through precomputed per-transition delta rows — no id validation,
 //!   no marking-length check, no double enabledness scan per firing;
-//! * optionally explores in **parallel**: markings are sharded by hash
-//!   range over worker-private arenas/interners, cross-shard successors travel through
-//!   per-pair outboxes, and a deterministic admission pass renumbers states into the
-//!   exact canonical order the sequential engine produces;
 //! * exposes the reachability graph as **CSR forward/backward adjacency**, so
 //!   [`successors`](StateSpace::successors) is O(out-degree),
 //!   [`dead_states`](StateSpace::dead_states) is O(V) and
@@ -33,11 +29,16 @@
 //!   RTOS simulators and the ATM Table I harness instead of the owned-`Marking`
 //!   token game.
 //!
+//! Exploration is single-threaded. A hash-sharded parallel explorer ran 2–3× slower
+//! than this engine on every net benchmarked on 1- and 2-core hosts (ARCHITECTURE.md,
+//! "Why exploration is sequential"), so [`ExploreOptions::threads`] is accepted and
+//! ignored.
+//!
 //! The exploration order and truncation semantics (state budget, per-place token
-//! cut-off) are **bit-for-bit identical** to the naive explorer for every combination of
-//! token width and thread count: all variants assign the same state ids, discover the
-//! same edges in the same order and report the same frontier. `tests/properties.rs`
-//! holds that equivalence over the gallery nets and randomly generated nets.
+//! cut-off) are **bit-for-bit identical** to the naive explorer for every token width:
+//! all variants assign the same state ids, discover the same edges in the same order
+//! and report the same frontier. `tests/properties.rs` holds that equivalence over the
+//! gallery nets and randomly generated nets.
 //!
 //! # Example
 //!
@@ -54,7 +55,6 @@
 mod arena;
 mod engine;
 mod interner;
-mod parallel;
 mod session;
 
 pub use arena::{MarkingArena, TokenWord};
@@ -77,7 +77,7 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 }
 
 /// Per-place Zobrist-style multiplier, a pure function of the place index so every
-/// component (explorer, arena, compatibility view, parallel shards) hashes markings
+/// component (explorer, arena, compatibility view, firing session) hashes markings
 /// identically without sharing state.
 #[inline]
 pub(crate) fn place_key(place: usize) -> u64 {

@@ -1,30 +1,20 @@
 //! Round-trip property suite for region-based synthesis: explore a net, synthesize a
 //! net back from the behaviour, re-explore, and demand isomorphism — across the
-//! bounded gallery nets and 64 seeded-random conservative nets, under sequential and
-//! multi-threaded exploration alike. Unbounded gallery nets must be *refused* (their
-//! truncated spaces are not behaviours), never mis-synthesized. Random transition
-//! systems that came from no net must always end in `Ok` or a typed witness — no
-//! panic, no mis-realisation (the built-in verification pass backs this up).
+//! bounded gallery nets and 64 seeded-random conservative nets. Unbounded gallery
+//! nets must be *refused* (their truncated spaces are not behaviours), never
+//! mis-synthesized. Random transition systems that came from no net must always end
+//! in `Ok` or a typed witness — no panic, no mis-realisation (the built-in
+//! verification pass backs this up).
 
 use fcpn_petri::analysis::{splitmix64, ReachabilityOptions};
-use fcpn_petri::statespace::{ExploreOptions, StateSpace};
+use fcpn_petri::statespace::StateSpace;
 use fcpn_petri::synthesis::{synthesize, Lts, LtsBuilder, SynthesisError, SynthesisOptions};
 use fcpn_petri::{gallery, CancelToken, MemoryBudget, NetBuilder, PetriNet};
 
-fn explore_threads(net: &PetriNet, threads: usize) -> StateSpace {
-    StateSpace::explore_with(
-        net,
-        &ExploreOptions {
-            threads,
-            ..ExploreOptions::default()
-        },
-    )
-}
-
 /// Explore → synthesize → re-explore → isomorphism, for a net whose default-bounds
 /// exploration is complete.
-fn assert_roundtrip(net: &PetriNet, threads: usize) {
-    let space = explore_threads(net, threads);
+fn assert_roundtrip(net: &PetriNet) {
+    let space = StateSpace::explore(net, ReachabilityOptions::default());
     assert!(
         space.is_complete() && space.frontier().is_empty(),
         "net {} must be bounded for a round trip",
@@ -32,7 +22,7 @@ fn assert_roundtrip(net: &PetriNet, threads: usize) {
     );
     let lts = Lts::from_statespace(net, &space).expect("complete space converts");
     let out = synthesize(&lts, &SynthesisOptions::default())
-        .unwrap_or_else(|e| panic!("net {} (threads {threads}) failed: {e}", net.name()));
+        .unwrap_or_else(|e| panic!("net {} failed: {e}", net.name()));
     assert!(out.stats.verified, "verification pass must run by default");
 
     // Independent re-exploration with generous bounds — not the engine's own pass.
@@ -46,7 +36,7 @@ fn assert_roundtrip(net: &PetriNet, threads: usize) {
     let re_lts = Lts::from_statespace(&out.net, &re_space).expect("emitted net is bounded");
     assert!(
         Lts::isomorphic(&lts, &re_lts),
-        "net {} (threads {threads}): reachability graph of the synthesized net differs",
+        "net {}: reachability graph of the synthesized net differs",
         net.name()
     );
 }
@@ -63,9 +53,7 @@ fn bounded_gallery_nets_roundtrip_under_all_thread_counts() {
         gallery::cycle_bank(4),
     ];
     for net in &nets {
-        for threads in [1, 2, 4] {
-            assert_roundtrip(net, threads);
-        }
+        assert_roundtrip(net);
     }
 }
 
@@ -133,14 +121,7 @@ fn random_conservative_net(seed: u64) -> PetriNet {
 #[test]
 fn sixty_four_seeded_random_nets_roundtrip() {
     for seed in 0..64u64 {
-        let net = random_conservative_net(seed);
-        // Thread counts cycle 1, 2, 4 across seeds.
-        let threads = match seed % 3 {
-            0 => 1,
-            1 => 2,
-            _ => 4,
-        };
-        assert_roundtrip(&net, threads);
+        assert_roundtrip(&random_conservative_net(seed));
     }
 }
 
@@ -207,7 +188,7 @@ fn random_transition_systems_get_nets_or_typed_witnesses() {
 fn armed_but_unreached_guards_are_bit_identical() {
     for seed in [3u64, 17, 42] {
         let net = random_conservative_net(seed);
-        let space = explore_threads(&net, 1);
+        let space = StateSpace::explore(&net, ReachabilityOptions::default());
         let lts = Lts::from_statespace(&net, &space).unwrap();
         let plain = synthesize(&lts, &SynthesisOptions::default()).unwrap();
         let guarded = synthesize(

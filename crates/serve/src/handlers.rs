@@ -728,14 +728,15 @@ impl RequestOptions {
     }
 
     /// Folds every response-relevant option with the endpoint tag and the net
-    /// fingerprint into the result-cache key. `deadline_ms` and `use_result_cache` are
-    /// deliberately excluded: they never change the body of a completed response.
+    /// fingerprint into the result-cache key. `threads`, `deadline_ms` and
+    /// `use_result_cache` are deliberately excluded: they never change the body of a
+    /// completed response (the sweep is bit-identical at any thread count, and
+    /// exploration ignores it).
     fn cache_key(&self, endpoint: Endpoint, fingerprint: u128) -> u128 {
         let mut fp = Fingerprint128::new();
         fp.fold(endpoint.tag());
         fp.fold(fingerprint as u64);
         fp.fold((fingerprint >> 64) as u64);
-        fp.fold(self.threads as u64);
         fp.fold(self.reuse_component_cache as u64);
         fp.fold(self.max_allocations as u64);
         fp.fold((self.max_allocations >> 64) as u64);
@@ -780,7 +781,6 @@ impl RequestOptions {
                 max_markings: self.max_markings,
                 max_tokens_per_place: self.max_tokens_per_place,
             },
-            threads: self.threads,
             cancel,
             memory: self.memory(),
             ..ExploreOptions::default()
@@ -1078,8 +1078,7 @@ fn analyze(
         }
         // A *complete* shared exploration already enumerates the full reachable set,
         // which proves boundedness directly with the same `k` the covering search
-        // would report (the exact shortcut `check_boundedness_with` uses for its
-        // parallel path); only fall back to Karp–Miller when no complete space is at
+        // would report; only fall back to Karp–Miller when no complete space is at
         // hand.
         let verdict = match space.as_ref() {
             Some(space) if space.is_complete() => Boundedness::Bounded {
@@ -1293,10 +1292,29 @@ mod tests {
             governor: None,
         };
         let text = to_text(&gallery::figure4());
-        handle(&ctx, &post("/schedule?threads=1", &text));
-        handle(&ctx, &post("/schedule?threads=2", &text));
+        handle(&ctx, &post("/schedule?component_cache=1", &text));
+        handle(&ctx, &post("/schedule?component_cache=0", &text));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn thread_count_shares_one_cache_entry() {
+        let (limits, cache, metrics) = ctx_parts();
+        let ctx = HandlerCtx {
+            limits: &limits,
+            cache: &cache,
+            metrics: &metrics,
+            governor: None,
+        };
+        let text = to_text(&gallery::figure2());
+        let first = handle(&ctx, &post("/analyze", &text));
+        let second = handle(&ctx, &post("/analyze?threads=2", &text));
+        assert_eq!(first.status, 200);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(first.body, second.body);
     }
 
     #[test]

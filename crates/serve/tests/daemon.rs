@@ -11,7 +11,8 @@ use fcpn_petri::io::to_text;
 use fcpn_petri::{gallery, PetriNet};
 use fcpn_qss::{quasi_static_schedule, QssOptions};
 use fcpn_serve::{
-    schedule_response_body, Client, LoadSpec, RequestLimits, Server, ServerConfig, ServerHandle,
+    handlers, schedule_response_body, Client, HandlerCtx, LoadSpec, Metrics, Request,
+    RequestLimits, ResultCache, Server, ServerConfig, ServerHandle,
 };
 use std::time::Duration;
 
@@ -325,18 +326,53 @@ fn healthz_metrics_and_hostile_inputs() {
 
 #[test]
 fn per_request_thread_option_matches_sequential_answer() {
-    // The sharded scheduler pins bit-identical outcomes for any thread count; the
-    // daemon must preserve that through the options plumbing.
+    // The sharded scheduler pins bit-identical outcomes for any thread count and
+    // exploration ignores `threads`; the daemon must preserve both through the options
+    // plumbing. `threads` is not part of the cache key, so `cache=0` makes every
+    // request run its handler instead of replaying the first answer.
+    let net = gallery::choice_chain(6);
+    let text = to_text(&net);
+    let expected_schedule = expected_schedule_body(&net);
+    let analyze = "/analyze?max_markings=5000&cache=0";
+    let expected_analyze = {
+        let (limits, cache, metrics) = (
+            RequestLimits::default(),
+            ResultCache::new(1, 1),
+            Metrics::new(),
+        );
+        let ctx = HandlerCtx {
+            limits: &limits,
+            cache: &cache,
+            metrics: &metrics,
+            governor: None,
+        };
+        let request = Request {
+            method: "POST".into(),
+            path: "/analyze".into(),
+            query: vec![
+                ("max_markings".into(), "5000".into()),
+                ("threads".into(), "1".into()),
+            ],
+            headers: Vec::new(),
+            body: text.clone().into_bytes(),
+        };
+        let response = handlers::handle(&ctx, &request);
+        assert_eq!(response.status, 200);
+        response.body.to_string()
+    };
     for_each_front_end(|reactor| {
         let handle = spawn_on(reactor, ServerConfig::default());
-        let net = gallery::choice_chain(6);
-        let text = to_text(&net);
-        let expected = expected_schedule_body(&net);
         let mut c = client(&handle);
-        for query in ["/schedule", "/schedule?threads=2", "/schedule?threads=4"] {
-            let response = c.request("POST", query, text.as_bytes()).expect("request");
-            assert_eq!(response.status, 200, "{query} (reactor={reactor})");
-            assert_eq!(response.body, expected, "{query} diverged");
+        for threads in [1, 2, 4] {
+            for (path, expected) in [
+                ("/schedule?cache=0", &expected_schedule),
+                (analyze, &expected_analyze),
+            ] {
+                let query = format!("{path}&threads={threads}");
+                let response = c.request("POST", &query, text.as_bytes()).expect("request");
+                assert_eq!(response.status, 200, "{query} (reactor={reactor})");
+                assert_eq!(&response.body, expected, "{query} diverged");
+            }
         }
         handle.shutdown();
     });

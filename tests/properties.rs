@@ -408,10 +408,9 @@ fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &st
     }
 }
 
-/// Asserts every engine variant — narrow `u8`/`u16` arenas and the sharded parallel
-/// explorer at 1/2/4 threads — produces exactly the canonical graph the sequential
-/// `u64` engine does: same markings in the same id order, same edge lists, same
-/// completeness/frontier and same dead markings.
+/// Asserts every engine variant — narrow `u8`/`u16` arenas and the automatic width —
+/// produces exactly the canonical graph the `u64` engine does: same markings in the
+/// same id order, same edge lists, same completeness/frontier and same dead markings.
 fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label: &str) {
     let baseline = StateSpace::explore_with(
         net,
@@ -423,20 +422,15 @@ fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label
         },
     );
     let variants = [
-        ("u8", 1, TokenWidth::U8),
-        ("u16", 1, TokenWidth::U16),
-        ("par1-auto", 1, TokenWidth::Auto),
-        ("par2-auto", 2, TokenWidth::Auto),
-        ("par4-auto", 4, TokenWidth::Auto),
-        ("par2-u64", 2, TokenWidth::U64),
-        ("par4-u8", 4, TokenWidth::U8),
+        ("u8", TokenWidth::U8),
+        ("u16", TokenWidth::U16),
+        ("auto", TokenWidth::Auto),
     ];
-    for (name, threads, width) in variants {
+    for (name, width) in variants {
         let space = StateSpace::explore_with(
             net,
             &ExploreOptions {
                 reach: options,
-                threads,
                 width,
                 ..ExploreOptions::default()
             },
@@ -469,36 +463,34 @@ fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label
     }
     // Armed but never-tripped guards — a live cancellation token and a memory budget
     // the exploration never reaches — are pure observation: the graph they yield must
-    // be the canonical one, bit for bit, sequential and sharded alike.
-    for threads in [1usize, 2, 4] {
-        let watched = StateSpace::try_explore_with(
-            net,
-            &ExploreOptions {
-                reach: options,
-                threads,
-                width: TokenWidth::U64,
-                cancel: fcpn::petri::cancel::CancelToken::new(),
-                memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
-            },
-        )
-        .expect("armed-but-unreached guards never interrupt");
-        let tag = format!("{label} [armed-guards t{threads}]");
+    // be the canonical one, bit for bit.
+    let watched = StateSpace::try_explore_with(
+        net,
+        &ExploreOptions {
+            reach: options,
+            threads: 1,
+            width: TokenWidth::U64,
+            cancel: fcpn::petri::cancel::CancelToken::new(),
+            memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
+        },
+    )
+    .expect("armed-but-unreached guards never interrupt");
+    let tag = format!("{label} [armed-guards]");
+    assert_eq!(
+        watched.state_count(),
+        baseline.state_count(),
+        "{tag}: states"
+    );
+    assert_eq!(watched.edge_count(), baseline.edge_count(), "{tag}: edges");
+    for id in 0..baseline.state_count() as u32 {
         assert_eq!(
-            watched.state_count(),
-            baseline.state_count(),
-            "{tag}: states"
+            watched.tokens(id),
+            baseline.tokens(id),
+            "{tag}: marking {id}"
         );
-        assert_eq!(watched.edge_count(), baseline.edge_count(), "{tag}: edges");
-        for id in 0..baseline.state_count() as u32 {
-            assert_eq!(
-                watched.tokens(id),
-                baseline.tokens(id),
-                "{tag}: marking {id}"
-            );
-            let base_row: Vec<_> = baseline.successors(id).collect();
-            let row: Vec<_> = watched.successors(id).collect();
-            assert_eq!(row, base_row, "{tag}: out-edges of {id}");
-        }
+        let base_row: Vec<_> = baseline.successors(id).collect();
+        let row: Vec<_> = watched.successors(id).collect();
+        assert_eq!(row, base_row, "{tag}: out-edges of {id}");
     }
 }
 
@@ -563,8 +555,7 @@ fn engine_variants_are_canonical_on_every_gallery_net() {
 #[test]
 fn engine_variants_are_canonical_on_random_nets() {
     // 64 seeded random nets in total (48 dense + 16 free-choice trees), each checked
-    // across every width/thread variant plus the armed-guards (live token + budget)
-    // paths at 1/2/4 threads.
+    // across every width variant plus the armed-guards (live token + budget) path.
     for seed in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(0xACE ^ seed);
         let net = random_net(&mut rng);
@@ -584,9 +575,8 @@ fn engine_variants_are_canonical_on_random_nets() {
 #[test]
 fn memory_exhaustion_is_deterministic_across_engines() {
     // The budget charges the canonical cost model in admission order, so the same net
-    // under the same byte limit must fail with the *same* typed error — same stage,
-    // same requested_bytes — no matter how many worker threads raced to discover
-    // states, and regardless of token width.
+    // under the same byte limit must fail with a typed exhaustion error, and with the
+    // *same* one — same stage, same requested_bytes — on every run.
     for (label, net, limit) in [
         ("figure5", fcpn::petri::gallery::figure5(), 2_000u64),
         (
@@ -600,35 +590,27 @@ fn memory_exhaustion_is_deterministic_across_engines() {
             max_markings: 200_000,
             max_tokens_per_place: 16,
         };
-        // Per-state cost is a function of the token width, so compare thread counts
-        // within each fixed width (Auto resolves identically for the same net).
+        // Per-state cost is a function of the token width, so each width is its own
+        // case (Auto resolves identically for the same net).
         for width in [TokenWidth::U64, TokenWidth::Auto] {
-            let mut errors = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let err = StateSpace::try_explore_with(
+            let exhaust = || {
+                StateSpace::try_explore_with(
                     &net,
                     &ExploreOptions {
                         reach,
-                        threads,
                         width,
                         memory: fcpn::petri::MemoryBudget::with_limit(limit),
                         ..ExploreOptions::default()
                     },
                 )
-                .expect_err("tight budget must exhaust");
-                errors.push((threads, err));
-            }
-            let (_, first) = &errors[0];
+                .expect_err("tight budget must exhaust")
+            };
+            let first = exhaust();
             assert!(
                 matches!(first, fcpn::petri::Interrupt::Exhausted(_)),
                 "{label} [{width:?}]: expected an exhaustion error, got {first:?}"
             );
-            for (threads, err) in &errors[1..] {
-                assert_eq!(
-                    err, first,
-                    "{label} [{width:?}]: threads={threads} diverged from the sequential error"
-                );
-            }
+            assert_eq!(exhaust(), first, "{label} [{width:?}]: a rerun diverged");
         }
     }
 }
@@ -636,7 +618,7 @@ fn memory_exhaustion_is_deterministic_across_engines() {
 #[test]
 fn engine_variants_are_canonical_under_tight_budgets() {
     // Budget truncation is where discovery order matters most: which states fall inside
-    // the budget depends on it, so this pins the parallel admission pass byte-for-byte.
+    // the budget depends on it, so this pins every width's admission order byte-for-byte.
     let net = gallery::figure5();
     for max_markings in [1usize, 2, 7, 50, 333] {
         assert_variants_canonical(
