@@ -19,8 +19,11 @@
 //! a byte estimate of its resident bodies. When an insert pushes a shard past its entry
 //! capacity **or** its byte budget, the least-recently-used entries are evicted one at a
 //! time until both bounds hold again — no more wholesale clears, so a hot entry is never
-//! collateral damage of an unrelated insert. [`ResultCache::evictions`] and
-//! [`ResultCache::bytes`] expose the running totals for `/metrics`.
+//! collateral damage of an unrelated insert. An entry bigger than a whole shard's
+//! budget is not cached at all (neither mapped nor logged), so the byte budget is a
+//! real bound; a deployment that wants bigger bodies cached raises `--cache-bytes`.
+//! [`ResultCache::evictions`] and [`ResultCache::bytes`] expose the running totals for
+//! `/metrics`.
 //!
 //! # Persistence
 //!
@@ -127,8 +130,8 @@ impl ResultCache {
         Self::with_limits(shards, total_capacity, DEFAULT_TOTAL_BYTES)
     }
 
-    /// A cache bounded by both entry count and resident bytes (evenly divided across
-    /// shards; each shard keeps at least one entry regardless).
+    /// A cache bounded by both entry count and resident bytes, each divided evenly
+    /// across shards. A response bigger than one shard's byte budget is never cached.
     pub fn with_limits(shards: usize, total_capacity: usize, total_bytes: usize) -> Self {
         let shards = shards.max(1);
         ResultCache {
@@ -233,7 +236,8 @@ impl ResultCache {
     /// Inserts a response (first insert wins on a racing double-compute — both computed
     /// the same body), evicting least-recently-used entries if the shard's entry or
     /// byte bound is exceeded, and appending to the shard's persistent log if one is
-    /// attached.
+    /// attached. A response bigger than the shard's whole byte budget is skipped: it is
+    /// neither mapped nor logged, and no neighbour is evicted for it.
     pub fn insert(&self, key: u128, response: Arc<CachedResponse>) {
         self.insert_inner(key, response, None);
     }
@@ -247,11 +251,14 @@ impl ResultCache {
         response: Arc<CachedResponse>,
         already_logged_in: Option<usize>,
     ) {
+        let cost = entry_cost(&response);
+        if cost > self.shard_byte_budget {
+            return;
+        }
         let (index, mut shard) = self.shard(key);
         if shard.map.contains_key(&key) {
             return;
         }
-        let cost = entry_cost(&response);
         shard.clock += 1;
         let stamp = shard.clock;
         // Persist before the entry becomes visible; log I/O failures degrade the cache
@@ -275,20 +282,20 @@ impl ResultCache {
     }
 
     /// Evicts least-recently-used entries until the shard honours both its entry
-    /// capacity and its byte budget (always keeping at least one entry, so a single
-    /// oversized response is still cached rather than thrashing).
+    /// capacity and its byte budget. The entry just inserted is the most recently used
+    /// and fits the budget on its own, so it is never the victim.
     fn evict_over_budget(&self, shard: &mut CacheShard) {
-        while (shard.map.len() > self.shard_capacity || shard.bytes > self.shard_byte_budget)
-            && shard.map.len() > 1
-        {
+        while shard.map.len() > self.shard_capacity || shard.bytes > self.shard_byte_budget {
             // O(shard entries) scan; shards are small (capacity / shard_count) and the
             // loop runs at most once per insert in steady state.
-            let victim = shard
+            let Some(victim) = shard
                 .map
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(key, _)| *key)
-                .expect("len > 1 guarantees a victim");
+            else {
+                break;
+            };
             if let Some(entry) = shard.map.remove(&victim) {
                 let cost = entry_cost(&entry.response);
                 shard.bytes -= cost.min(shard.bytes);
@@ -510,6 +517,36 @@ mod tests {
         assert!(cache.len() <= 2, "byte budget caps residency at 2 entries");
         assert!(cache.evictions() >= 8);
         assert!(cache.bytes() <= 2 * (body.len() + ENTRY_OVERHEAD) as u64);
+    }
+
+    #[test]
+    fn oversized_insert_leaves_the_shard_untouched() {
+        let dir = TempDir::new("oversized");
+        let body = "x".repeat(512);
+        let budget = 2 * (body.len() + ENTRY_OVERHEAD);
+        let cache = ResultCache::with_persistence(1, 64, budget, &dir.0).unwrap();
+        cache.insert(1, entry(&body));
+        cache.insert(2, entry(&body));
+        cache.flush().unwrap();
+        let log = crate::persist::shard_log_path(&dir.0, 0);
+        let log_len = std::fs::metadata(&log).unwrap().len();
+        let (bytes, evictions) = (cache.bytes(), cache.evictions());
+
+        // One byte past the whole shard budget once the entry overhead is added.
+        cache.insert(3, entry(&"y".repeat(budget - ENTRY_OVERHEAD + 1)));
+        cache.flush().unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.bytes(), bytes);
+        assert_eq!(cache.evictions(), evictions);
+        assert_eq!(
+            std::fs::metadata(&log).unwrap().len(),
+            log_len,
+            "not logged"
+        );
+        let misses = cache.misses();
+        assert!(cache.get(3).is_none());
+        assert_eq!(cache.misses(), misses + 1);
+        assert!(cache.get(1).is_some() && cache.get(2).is_some());
     }
 
     #[test]

@@ -9,10 +9,18 @@
 //! bit-identical agreement with direct library calls. Volatile facts (cache
 //! disposition, elapsed time) travel in `X-Fcpn-*` response headers, never in the body.
 //!
+//! ## One pipeline
+//!
+//! All four POST endpoints run through one generic `cached_endpoint`: read the body as
+//! text, parse it into the endpoint's input and its fingerprint, resolve the options,
+//! look the response up in the cache, admit the request against the memory governor,
+//! arm its deadline, compute on a miss, memoise, and stamp `X-Fcpn-Cache`. An endpoint
+//! is just its parse step (net text or LTS text) and its compute step.
+//!
 //! ## Guards
 //!
-//! Per-request work is bounded three ways, so a hostile or merely enormous net cannot
-//! pin a worker:
+//! Per-request work is bounded three ways, so a hostile or merely enormous input
+//! cannot pin a worker:
 //!
 //! * **state budgets** — `max_markings`, `max_tokens_per_place` and `max_nodes` are
 //!   clamped to server-configured caps and passed into
@@ -21,16 +29,16 @@
 //! * **allocation budgets** — `max_allocations` is clamped and passed into
 //!   [`AllocationOptions`]; the scheduler's typed `TooManyAllocations` error becomes a
 //!   `422` instead of an exponential sweep;
-//! * **deadlines** — `deadline_ms` (clamped to a cap) arms a
-//!   [`CancelToken`] that is threaded *into* every engine
-//!   stage (the exploration loops, the allocation sweep) and additionally checked
-//!   between pipeline stages (the four `/analyze` checks; `/codegen`'s schedule →
-//!   synthesize → emit chain). A blown deadline answers `503` — `"deadline exceeded"`
-//!   when caught between stages, a cancellation notice when the engine itself bailed
-//!   out mid-stage (counted in the `cancelled_in_stage` metric). The cooperative
-//!   polling is counter-gated (every few hundred iterations), so a worker abandons a
-//!   runaway sweep within milliseconds of its deadline instead of running the stage to
-//!   completion.
+//! * **deadlines** — `deadline_ms` (clamped to a cap) arms the request's one
+//!   [`CancelToken`] just before its compute step. The token is the only deadline
+//!   clock. It is threaded *into* every engine stage (the exploration loops, the
+//!   allocation sweep, region synthesis), and the compute steps read it between stages
+//!   (the four `/analyze` checks; `/codegen`'s schedule → synthesize → emit chain). A
+//!   blown deadline answers `503`: `"deadline exceeded"` when caught between stages,
+//!   `"cancelled mid-stage: deadline exceeded"` when an engine stage bailed out itself
+//!   (also counted in the `cancelled_in_stage` metric). The cooperative polling is
+//!   counter-gated (every few hundred iterations), so a worker abandons a runaway sweep
+//!   within milliseconds of its deadline instead of running the stage to completion.
 
 use crate::cache::{CachedResponse, ResultCache};
 use crate::http::{Request, Response};
@@ -55,7 +63,7 @@ use fcpn_qss::{
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server-side caps that per-request options are clamped against.
 #[derive(Debug, Clone, Copy)]
@@ -223,33 +231,14 @@ pub struct HandlerCtx<'a> {
     pub governor: Option<&'a MemGovernor>,
 }
 
-/// A per-request deadline: checked between pipeline stages here, and threaded *into*
-/// each engine stage as the armed [`CancelToken`] so a stage can abandon itself
-/// mid-loop.
-struct Deadline {
-    start: Instant,
-    limit: Duration,
-    cancel: CancelToken,
-}
-
-impl Deadline {
-    fn new(limit: Duration) -> Deadline {
-        let start = Instant::now();
-        Deadline {
-            start,
-            limit,
-            cancel: CancelToken::with_deadline(start + limit),
-        }
+/// The between-stage deadline check: once the request's [`CancelToken`] has fired, the
+/// compute step stops before its next stage with `503 {"error":"deadline exceeded"}`.
+fn check_deadline(metrics: &Metrics, cancel: &CancelToken) -> Result<(), Response> {
+    if cancel.is_cancelled() {
+        metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        return Err(Response::error(503, "deadline exceeded"));
     }
-
-    fn check(&self, metrics: &Metrics) -> Result<(), Response> {
-        if self.start.elapsed() > self.limit {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            Err(Response::error(503, "deadline exceeded"))
-        } else {
-            Ok(())
-        }
-    }
+    Ok(())
 }
 
 /// The `503` for a stage that cancelled *itself* mid-loop (its [`CancelToken`] fired).
@@ -295,21 +284,21 @@ pub fn handle(ctx: &HandlerCtx<'_>, request: &Request) -> Response {
             ctx.metrics
                 .schedule_requests
                 .fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Schedule)
+            cached_endpoint(ctx, request, Endpoint::Schedule, net_input, schedule)
         }
         ("POST", "/analyze") => {
             ctx.metrics.analyze_requests.fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Analyze)
+            cached_endpoint(ctx, request, Endpoint::Analyze, net_input, analyze)
         }
         ("POST", "/codegen") => {
             ctx.metrics.codegen_requests.fetch_add(1, Ordering::Relaxed);
-            cached_endpoint(ctx, request, Endpoint::Codegen)
+            cached_endpoint(ctx, request, Endpoint::Codegen, net_input, codegen)
         }
         ("POST", "/synthesize") => {
             ctx.metrics
                 .synthesize_requests
                 .fetch_add(1, Ordering::Relaxed);
-            synthesize_endpoint(ctx, request)
+            cached_endpoint(ctx, request, Endpoint::Synthesize, lts_input, synthesis)
         }
         (_, "/schedule" | "/analyze" | "/codegen") => {
             Response::error(405, "use POST with the net text as the request body")
@@ -323,44 +312,67 @@ pub fn handle(ctx: &HandlerCtx<'_>, request: &Request) -> Response {
     }
 }
 
-/// The cacheable endpoints, with the tag folded into cache keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The POST endpoints. The discriminant is the tag folded into cache keys.
+#[derive(Debug, Clone, Copy)]
 enum Endpoint {
-    Schedule,
-    Analyze,
-    Codegen,
-    Synthesize,
+    Schedule = 1,
+    Analyze = 2,
+    Codegen = 3,
+    Synthesize = 4,
 }
 
 impl Endpoint {
-    fn tag(self) -> u64 {
+    /// The `400` text for an empty body.
+    fn empty_body(self) -> &'static str {
         match self {
-            Endpoint::Schedule => 1,
-            Endpoint::Analyze => 2,
-            Endpoint::Codegen => 3,
-            Endpoint::Synthesize => 4,
+            Endpoint::Synthesize => "empty body; POST a transition system in the lts text format",
+            _ => "empty body; POST a net in the text format",
         }
     }
 }
 
-/// Shared POST plumbing: parse the net, resolve options, consult the cache, compute on
-/// miss, memoise, and stamp the `X-Fcpn-Cache` header.
-fn cached_endpoint(ctx: &HandlerCtx<'_>, request: &Request, endpoint: Endpoint) -> Response {
+/// The parse step of the net endpoints: the net and its fingerprint.
+fn net_input(text: &str) -> Result<(PetriNet, u128), String> {
+    let net = parse_net(text).map_err(|e| format!("net parse failed: {e}"))?;
+    let fingerprint = net_fingerprint(&net);
+    Ok((net, fingerprint))
+}
+
+/// The parse step of `/synthesize`: the transition system and its fingerprint.
+fn lts_input(text: &str) -> Result<(Lts, u128), String> {
+    let lts = Lts::parse(text).map_err(|e| format!("lts parse failed: {e}"))?;
+    let fingerprint = lts.fingerprint();
+    Ok((lts, fingerprint))
+}
+
+/// The one POST pipeline (see the module docs). `parse` turns the body text into the
+/// input and the fingerprint its cache key folds in, or into a `400` message. `compute`
+/// runs on a cache miss under the request's armed [`CancelToken`]; its `Err` side is an
+/// answer that ends the computation early, and both sides are memoised alike. Each
+/// endpoint gets its own monomorphised copy, so a cache hit costs only the parse, the
+/// option resolution and one lookup.
+fn cached_endpoint<I>(
+    ctx: &HandlerCtx<'_>,
+    request: &Request,
+    endpoint: Endpoint,
+    parse: impl FnOnce(&str) -> Result<(I, u128), String>,
+    compute: impl FnOnce(&Metrics, &I, &RequestOptions, &CancelToken) -> Result<Response, Response>,
+) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) if !text.trim().is_empty() => text,
-        Ok(_) => return Response::error(400, "empty body; POST a net in the text format"),
+        Ok(_) => return Response::error(400, endpoint.empty_body()),
         Err(_) => return Response::error(400, "body is not UTF-8"),
     };
-    let net = match parse_net(text) {
-        Ok(net) => net,
-        Err(e) => return Response::error(400, &format!("net parse failed: {e}")),
+    let (input, fingerprint) = match parse(text) {
+        Ok(parsed) => parsed,
+        Err(message) => return Response::error(400, &message),
     };
     let options = match RequestOptions::from_query(request, ctx.limits) {
         Ok(options) => options,
         Err(response) => return response,
     };
 
-    let key = options.cache_key(endpoint, net_fingerprint(&net));
+    let key = options.cache_key(endpoint, fingerprint);
     if options.use_result_cache {
         if let Some(hit) = ctx.cache.get(key) {
             return Response::json_shared(hit.status, Arc::clone(&hit.body))
@@ -373,15 +385,10 @@ fn cached_endpoint(ctx: &HandlerCtx<'_>, request: &Request, endpoint: Endpoint) 
         Err(response) => return response,
     };
 
-    let deadline = Deadline::new(Duration::from_millis(options.deadline_ms));
-    let response = match endpoint {
-        Endpoint::Schedule => schedule(ctx, &net, &options, &deadline),
-        Endpoint::Analyze => analyze(ctx, &net, &options, &deadline),
-        Endpoint::Codegen => codegen(ctx, &net, &options, &deadline),
-        Endpoint::Synthesize => unreachable!("/synthesize has its own plumbing"),
-    };
-    // Deterministic outcomes (including 4xx verdicts about the net itself) are
-    // memoised; deadline 503s are not — they depend on load, not on the request.
+    let cancel = CancelToken::after(Duration::from_millis(options.deadline_ms));
+    let response = compute(ctx.metrics, &input, &options, &cancel).unwrap_or_else(|early| early);
+    // Deterministic outcomes (including 4xx verdicts and honest negatives about the
+    // input) are memoised; 503s are not — they depend on load, not on the request.
     if options.use_result_cache && response.status != 503 {
         ctx.cache.insert(
             key,
@@ -435,74 +442,17 @@ fn admit<'a>(
     }
 }
 
-/// `/synthesize` plumbing. Parallel to [`cached_endpoint`] but keyed on the *LTS*
-/// fingerprint (the body is a transition system, not a net): parse, resolve options,
-/// consult the cache, admit against the governor, synthesize, memoise.
-fn synthesize_endpoint(ctx: &HandlerCtx<'_>, request: &Request) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) if !text.trim().is_empty() => text,
-        Ok(_) => {
-            return Response::error(
-                400,
-                "empty body; POST a transition system in the lts text format",
-            )
-        }
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let lts = match Lts::parse(text) {
-        Ok(lts) => lts,
-        Err(e) => return Response::error(400, &format!("lts parse failed: {e}")),
-    };
-    let options = match RequestOptions::from_query(request, ctx.limits) {
-        Ok(options) => options,
-        Err(response) => return response,
-    };
-
-    let key = options.cache_key(Endpoint::Synthesize, lts.fingerprint());
-    if options.use_result_cache {
-        if let Some(hit) = ctx.cache.get(key) {
-            return Response::json_shared(hit.status, Arc::clone(&hit.body))
-                .with_header("X-Fcpn-Cache", "hit");
-        }
-    }
-
-    let _reserved = match admit(ctx, &options) {
-        Ok(reservation) => reservation,
-        Err(response) => return response,
-    };
-
-    let deadline = Deadline::new(Duration::from_millis(options.deadline_ms));
-    let response = run_synthesis(ctx, &lts, &options, &deadline);
-    // Same memoisation policy as the net endpoints: deterministic outcomes (including
-    // honest "not synthesizable" verdicts and 4xx about the input) are cached;
-    // load-dependent 503s are not.
-    if options.use_result_cache && response.status != 503 {
-        ctx.cache.insert(
-            key,
-            Arc::new(CachedResponse {
-                status: response.status,
-                body: Arc::clone(&response.body),
-            }),
-        );
-    }
-    response.with_header("X-Fcpn-Cache", "miss")
-}
-
-fn lts_fingerprint_hex(lts: &Lts) -> String {
-    format!("0x{:032x}", lts.fingerprint())
-}
-
-fn run_synthesis(
-    ctx: &HandlerCtx<'_>,
+fn synthesis(
+    metrics: &Metrics,
     lts: &Lts,
     options: &RequestOptions,
-    deadline: &Deadline,
-) -> Response {
+    cancel: &CancelToken,
+) -> Result<Response, Response> {
     let synthesis_options = net_synthesis::SynthesisOptions {
         require_free_choice: options.require_free_choice,
         verify: options.verify,
         max_regions: options.max_regions,
-        cancel: deadline.cancel.clone(),
+        cancel: cancel.clone(),
         memory: options.memory(),
     };
     let head = |lts: &Lts, synthesizable: bool| {
@@ -510,7 +460,7 @@ fn run_synthesis(
             ("lts".to_string(), Json::from(lts.name())),
             (
                 "fingerprint".to_string(),
-                Json::from(lts_fingerprint_hex(lts)),
+                Json::from(format!("0x{:032x}", lts.fingerprint())),
             ),
             ("synthesizable".to_string(), Json::from(synthesizable)),
         ]
@@ -520,7 +470,7 @@ fn run_synthesis(
         pairs.push(("witness".to_string(), witness));
         Response::json(200, Json::Obj(pairs).render())
     };
-    match net_synthesis::synthesize(lts, &synthesis_options) {
+    Ok(match net_synthesis::synthesize(lts, &synthesis_options) {
         Ok(out) => {
             let mut pairs = head(lts, true);
             pairs.push((
@@ -543,7 +493,7 @@ fn run_synthesis(
             ));
             Response::json(200, Json::Obj(pairs).render())
         }
-        Err(SynthesisError::Interrupted(interrupt)) => interrupt_response(ctx.metrics, &interrupt),
+        Err(SynthesisError::Interrupted(interrupt)) => interrupt_response(metrics, &interrupt),
         // Honest verdicts about the input, mirroring `/schedule`'s
         // `"schedulable": false` diagnosis: a 200 with the typed witness.
         Err(SynthesisError::StateSeparation { left, right }) => witness(
@@ -584,7 +534,7 @@ fn run_synthesis(
             Response::error(500, &format!("synthesis failed: {e}"))
         }
         Err(other) => Response::error(500, &format!("synthesis failed: {other}")),
-    }
+    })
 }
 
 /// Effective per-request options after clamping against [`RequestLimits`].
@@ -734,7 +684,7 @@ impl RequestOptions {
     /// exploration ignores it).
     fn cache_key(&self, endpoint: Endpoint, fingerprint: u128) -> u128 {
         let mut fp = Fingerprint128::new();
-        fp.fold(endpoint.tag());
+        fp.fold(endpoint as u64);
         fp.fold(fingerprint as u64);
         fp.fold((fingerprint >> 64) as u64);
         fp.fold(self.reuse_component_cache as u64);
@@ -805,20 +755,17 @@ fn names(net: &PetriNet, transitions: &[TransitionId]) -> Json {
 // ---------------------------------------------------------------------------
 
 fn schedule(
-    ctx: &HandlerCtx<'_>,
+    metrics: &Metrics,
     net: &PetriNet,
     options: &RequestOptions,
-    deadline: &Deadline,
-) -> Response {
-    // No between-stage deadline check here — the handler starts at elapsed ~0 and the
-    // sweep is a single stage — but the stage itself carries the armed token, so a
-    // blown deadline aborts the sweep from the inside within one polling stride.
-    match quasi_static_schedule(net, &options.qss(deadline.cancel.clone())) {
-        Ok(outcome) => Response::json(200, schedule_response_body(net, &outcome)),
-        Err(QssError::Cancelled) => cancelled_response(ctx.metrics),
-        Err(QssError::ResourceExhausted(e)) => exhausted_response(ctx.metrics, &e),
-        Err(e) => qss_error_response(net, &e),
-    }
+    cancel: &CancelToken,
+) -> Result<Response, Response> {
+    // No between-stage deadline check here — the sweep is a single stage — but the
+    // stage itself carries the armed token, so a blown deadline aborts the sweep from
+    // the inside within one polling stride.
+    let outcome = quasi_static_schedule(net, &options.qss(cancel.clone()))
+        .map_err(|e| qss_error_response(metrics, net, &e))?;
+    Ok(Response::json(200, schedule_response_body(net, &outcome)))
 }
 
 /// Renders the deterministic `/schedule` response body for an outcome. Public so tests
@@ -955,8 +902,12 @@ fn write_failure(out: &mut String, names: &EscapedNames, failure: &ComponentFail
     out.push('}');
 }
 
-fn qss_error_response(net: &PetriNet, error: &QssError) -> Response {
+/// Maps every scheduler error to its response: the mid-stage cancellation and
+/// memory-exhaustion `503`s, the typed `422`s about the net, and a `500` for the rest.
+fn qss_error_response(metrics: &Metrics, net: &PetriNet, error: &QssError) -> Response {
     match error {
+        QssError::Cancelled => cancelled_response(metrics),
+        QssError::ResourceExhausted(e) => exhausted_response(metrics, e),
         QssError::NotFreeChoice { violations } => Response::json(
             422,
             Json::obj([
@@ -987,12 +938,13 @@ fn qss_error_response(net: &PetriNet, error: &QssError) -> Response {
 // ---------------------------------------------------------------------------
 
 fn analyze(
-    ctx: &HandlerCtx<'_>,
+    metrics: &Metrics,
     net: &PetriNet,
     options: &RequestOptions,
-    deadline: &Deadline,
-) -> Response {
-    let explore = options.explore(deadline.cancel.clone());
+    cancel: &CancelToken,
+) -> Result<Response, Response> {
+    let explore = options.explore(cancel.clone());
+    let interrupted = |interrupt: Interrupt| interrupt_response(metrics, &interrupt);
     let mut results: Vec<(String, Json)> = Vec::new();
 
     // Reachability, deadlock and liveness all read the same bounded state space, so
@@ -1003,13 +955,11 @@ fn analyze(
         || options.wants("deadlock")
         || options.wants("liveness")
     {
-        if let Err(response) = deadline.check(ctx.metrics) {
-            return response;
-        }
-        match fcpn_petri::statespace::StateSpace::try_explore_with(net, &explore) {
-            Ok(space) => Some(space),
-            Err(interrupt) => return interrupt_response(ctx.metrics, &interrupt),
-        }
+        check_deadline(metrics, cancel)?;
+        Some(
+            fcpn_petri::statespace::StateSpace::try_explore_with(net, &explore)
+                .map_err(interrupted)?,
+        )
     } else {
         None
     };
@@ -1033,9 +983,7 @@ fn analyze(
         ));
     }
     if options.wants("deadlock") {
-        if let Err(response) = deadline.check(ctx.metrics) {
-            return response;
-        }
+        check_deadline(metrics, cancel)?;
         let report = find_deadlock_in(net, space.as_ref().expect("explored above"));
         results.push((
             "deadlock".to_string(),
@@ -1056,9 +1004,7 @@ fn analyze(
         ));
     }
     if options.wants("liveness") {
-        if let Err(response) = deadline.check(ctx.metrics) {
-            return response;
-        }
+        check_deadline(metrics, cancel)?;
         let report = check_liveness_in(net, space.as_ref().expect("explored above"));
         results.push((
             "liveness".to_string(),
@@ -1073,9 +1019,7 @@ fn analyze(
         ));
     }
     if options.wants("boundedness") {
-        if let Err(response) = deadline.check(ctx.metrics) {
-            return response;
-        }
+        check_deadline(metrics, cancel)?;
         // A *complete* shared exploration already enumerates the full reachable set,
         // which proves boundedness directly with the same `k` the covering search
         // would report; only fall back to Karp–Miller when no complete space is at
@@ -1084,16 +1028,14 @@ fn analyze(
             Some(space) if space.is_complete() => Boundedness::Bounded {
                 k: space.max_tokens_observed(),
             },
-            _ => match try_check_boundedness_with(
+            _ => try_check_boundedness_with(
                 net,
                 BoundednessOptions {
                     max_nodes: options.max_nodes,
                 },
                 &explore,
-            ) {
-                Ok(verdict) => verdict,
-                Err(interrupt) => return interrupt_response(ctx.metrics, &interrupt),
-            },
+            )
+            .map_err(interrupted)?,
         };
         results.push((
             "boundedness".to_string(),
@@ -1114,7 +1056,7 @@ fn analyze(
         ));
     }
 
-    Response::json(
+    Ok(Response::json(
         200,
         Json::obj([
             ("net".to_string(), Json::from(net.name())),
@@ -1122,7 +1064,7 @@ fn analyze(
             ("results".to_string(), Json::Obj(results)),
         ])
         .render(),
-    )
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1130,21 +1072,17 @@ fn analyze(
 // ---------------------------------------------------------------------------
 
 fn codegen(
-    ctx: &HandlerCtx<'_>,
+    metrics: &Metrics,
     net: &PetriNet,
     options: &RequestOptions,
-    deadline: &Deadline,
-) -> Response {
-    let outcome = match quasi_static_schedule(net, &options.qss(deadline.cancel.clone())) {
-        Ok(outcome) => outcome,
-        Err(QssError::Cancelled) => return cancelled_response(ctx.metrics),
-        Err(QssError::ResourceExhausted(e)) => return exhausted_response(ctx.metrics, &e),
-        Err(e) => return qss_error_response(net, &e),
-    };
+    cancel: &CancelToken,
+) -> Result<Response, Response> {
+    let outcome = quasi_static_schedule(net, &options.qss(cancel.clone()))
+        .map_err(|e| qss_error_response(metrics, net, &e))?;
     let schedule = match outcome {
         QssOutcome::Schedulable(schedule) => schedule,
         QssOutcome::NotSchedulable(report) => {
-            return Response::json(
+            return Err(Response::json(
                 422,
                 Json::obj([
                     (
@@ -1158,26 +1096,20 @@ fn codegen(
                     ("failing_components", Json::from(report.failures.len())),
                 ])
                 .render(),
-            )
+            ))
         }
     };
-    if let Err(response) = deadline.check(ctx.metrics) {
-        return response;
-    }
-    let program = match synthesize(net, &schedule, SynthesisOptions::default()) {
-        Ok(program) => program,
-        Err(e) => return Response::error(500, &format!("synthesis failed: {e}")),
-    };
-    if let Err(response) = deadline.check(ctx.metrics) {
-        return response;
-    }
+    check_deadline(metrics, cancel)?;
+    let program = synthesize(net, &schedule, SynthesisOptions::default())
+        .map_err(|e| Response::error(500, &format!("synthesis failed: {e}")))?;
+    check_deadline(metrics, cancel)?;
     let (language, code) = if options.rust {
         ("rust", emit_rust(&program, net, RustEmitOptions::default()))
     } else {
         ("c", emit_c(&program, net, CEmitOptions::default()))
     };
-    let metrics = CodeMetrics::of(&program, net);
-    Response::json(
+    let code_metrics = CodeMetrics::of(&program, net);
+    Ok(Response::json(
         200,
         Json::obj([
             ("net", Json::from(net.name())),
@@ -1187,17 +1119,17 @@ fn codegen(
             (
                 "metrics",
                 Json::obj([
-                    ("tasks", Json::from(metrics.tasks)),
-                    ("lines_of_c", Json::from(metrics.lines_of_c)),
-                    ("ir_statements", Json::from(metrics.ir_statements)),
-                    ("max_nesting", Json::from(metrics.max_nesting)),
+                    ("tasks", Json::from(code_metrics.tasks)),
+                    ("lines_of_c", Json::from(code_metrics.lines_of_c)),
+                    ("ir_statements", Json::from(code_metrics.ir_statements)),
+                    ("max_nesting", Json::from(code_metrics.max_nesting)),
                 ]),
             ),
             ("language", Json::from(language)),
             ("code", Json::from(code)),
         ])
         .render(),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -1756,6 +1688,30 @@ mod tests {
         assert_eq!(overflow.status, 422, "{}", overflow.body);
         assert!(overflow.body.contains("region"));
         assert_eq!(cache.hits(), 0, "distinct options use distinct cache keys");
+    }
+
+    #[test]
+    fn pre_fired_token_stops_analyze_between_stages() {
+        let (limits, _, metrics) = ctx_parts();
+        let net = gallery::figure2();
+        let fired = CancelToken::new();
+        fired.cancel();
+        // Every check subset meets a between-stage check before its first engine stage.
+        for (count, checks) in ["", "?checks=boundedness", "?checks=liveness"]
+            .into_iter()
+            .enumerate()
+        {
+            let request = post(&format!("/analyze{checks}"), &to_text(&net));
+            let options = RequestOptions::from_query(&request, &limits).unwrap();
+            let response = analyze(&metrics, &net, &options, &fired).unwrap_err();
+            assert_eq!(response.status, 503);
+            assert_eq!(*response.body, r#"{"error":"deadline exceeded"}"#);
+            assert_eq!(
+                metrics.deadline_exceeded.load(Ordering::Relaxed),
+                count as u64 + 1
+            );
+            assert_eq!(metrics.cancelled_in_stage.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! | `/schedule` | POST | net (text format) | quasi-static schedule or diagnosis |
 //! | `/analyze` | POST | net (text format) | reachability / deadlock / liveness / boundedness |
 //! | `/codegen` | POST | net (text format) | synthesised C (or Rust) + code metrics |
+//! | `/synthesize` | POST | labelled transition system (LTS text format) | a net realising it, or a separation witness |
 //! | `/healthz` | GET | — | liveness probe |
 //! | `/metrics` | GET | — | request/cache/queue counters |
 //!

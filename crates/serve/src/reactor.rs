@@ -205,8 +205,8 @@ struct Job {
     slot: usize,
     generation: u64,
     request: Request,
-    /// Tenant bucket to release when the request finishes (`None` for probes).
-    tenant: Option<String>,
+    /// Tenant bucket [`Core::run`] releases when the request finishes.
+    tenant: String,
 }
 
 /// A finished response on its way back to the reactor.
@@ -431,24 +431,11 @@ impl ReactorHandle {
     }
 }
 
-/// CPU worker: pops complete requests, runs the handlers, pushes the response back
-/// to the reactor.
+/// CPU worker: pops admitted requests, runs them through [`Core::run`], pushes the
+/// response back to the reactor.
 fn worker_loop(shared: &ReactorShared) {
-    let core = &shared.core;
-    loop {
-        let Some(job) = shared.queue.pop(core) else {
-            return;
-        };
-        core.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let response = core.dispatch(&job.request, shared.queue.len());
-        let elapsed_us = started.elapsed().as_micros();
-        core.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if let Some(tenant) = &job.tenant {
-            core.tenants.release(tenant);
-        }
-        core.metrics.count_response(response.status);
-        let response = response.with_header("X-Fcpn-Elapsed-Us", &elapsed_us.to_string());
+    while let Some(job) = shared.queue.pop(&shared.core) {
+        let response = shared.core.run(&job.request, &job.tenant);
         shared.push_completion(Completion {
             slot: job.slot,
             generation: job.generation,
@@ -674,10 +661,7 @@ impl Reactor<'_> {
                 .connections_accepted
                 .fetch_add(1, Ordering::Relaxed);
             if core.is_draining() || self.open >= core.config.max_connections {
-                core.metrics
-                    .rejected_saturated
-                    .fetch_add(1, Ordering::Relaxed);
-                core.metrics.count_response(503);
+                core.count_shed();
                 // One opportunistic non-blocking write; a peer that cannot take ~150
                 // bytes immediately just gets the close. Blocking here would let one
                 // hostile peer stall every other connection.
@@ -830,96 +814,66 @@ impl Reactor<'_> {
         self.wheel.schedule(deadline, slot, generation);
     }
 
-    /// Drives the parser over buffered bytes: answers probes inline, runs admission,
-    /// dispatches complete requests, rejects malformed ones. Loops so pipelined
+    /// Drives the parser over buffered bytes: answers probes and refusals inline,
+    /// dispatches admitted requests, rejects malformed ones. Loops so pipelined
     /// requests answered without blocking (probes, 429s) keep flowing.
     fn process_parsed(&mut self, slot: usize) {
+        let shared = self.shared;
+        let core = &shared.core;
         loop {
-            let core = Arc::clone(&self.shared.core);
             let conn = match self.conns[slot].as_mut() {
                 Some(conn) if conn.state == ConnState::Reading => conn,
                 _ => return,
             };
-            match conn.parser.poll() {
+            let request = match conn.parser.poll() {
+                Ok(Some(request)) => request,
                 Ok(None) => {
                     self.refresh_read_deadline(slot);
                     return;
-                }
-                Ok(Some(request)) => {
-                    core.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                    conn.request_started = None;
-                    let close_policy = request.wants_close()
-                        || conn.served + 1 >= core.config.max_requests_per_connection
-                        || core.shutting_down()
-                        || core.is_draining();
-                    if Core::is_probe(&request) {
-                        // Probes are answered on the reactor thread itself: O(µs), no
-                        // queue, cannot be starved by a full worker pool.
-                        let response = core.dispatch(&request, self.shared.queue.len());
-                        core.metrics.count_response(response.status);
-                        if !self.start_write(slot, &response, close_policy) {
-                            return;
-                        }
-                        continue;
-                    }
-                    match core.admit(&request) {
-                        Admitted::Rejected(response) => {
-                            core.metrics.count_response(response.status);
-                            if !self.start_write(slot, &response, close_policy) {
-                                return;
-                            }
-                            continue;
-                        }
-                        Admitted::Ok { tenant } => {
-                            let conn = self.conns[slot].as_mut().unwrap();
-                            let job = Job {
-                                slot,
-                                generation: conn.generation,
-                                request,
-                                tenant: Some(tenant),
-                            };
-                            match self.shared.queue.try_push(job) {
-                                Ok(()) => {
-                                    let conn = self.conns[slot].as_mut().unwrap();
-                                    conn.state = ConnState::Dispatched;
-                                    conn.deadline = None;
-                                    self.set_interest(slot, 0);
-                                    return;
-                                }
-                                Err(job) => {
-                                    // Global overload: the dispatch queue is full.
-                                    if let Some(tenant) = &job.tenant {
-                                        core.tenants.release(tenant);
-                                    }
-                                    core.metrics
-                                        .rejected_saturated
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    core.metrics.count_response(503);
-                                    let response = Core::overload_response();
-                                    if !self.start_write(slot, &response, true) {
-                                        return;
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
                 }
                 Err(HttpError::Disconnected) => {
                     self.close_conn(slot);
                     return;
                 }
                 Err(HttpError::Malformed { status, message }) => {
-                    let response = Response::error(status, &message);
-                    core.metrics.count_response(response.status);
-                    if !self.start_write(slot, &response, true) {
-                        return;
-                    }
-                    // The parser is unusable after an error and the response carried
-                    // `Connection: close`; if the write completed synchronously the
-                    // connection was already closed by `finish_write`.
+                    let response = core.malformed(status, &message);
+                    self.start_write(slot, &response, true);
                     return;
                 }
+            };
+            conn.request_started = None;
+            let (response, close) = match core.admit(&request, || shared.queue.len()) {
+                // Probes and refusals are answered on the reactor thread itself: O(µs),
+                // no queue, cannot be starved by a full worker pool.
+                Admitted::Answer(response) => {
+                    let close = core.closes_after(request.wants_close(), conn.served);
+                    (response, close)
+                }
+                Admitted::Run { tenant } => {
+                    let job = Job {
+                        slot,
+                        generation: conn.generation,
+                        request,
+                        tenant,
+                    };
+                    match shared.queue.try_push(job) {
+                        Ok(()) => {
+                            conn.state = ConnState::Dispatched;
+                            conn.deadline = None;
+                            self.set_interest(slot, 0);
+                            return;
+                        }
+                        Err(job) => {
+                            // Global overload: the dispatch queue is full.
+                            core.tenants.release(&job.tenant);
+                            core.count_shed();
+                            (Core::overload_response(), true)
+                        }
+                    }
+                }
+            };
+            if !self.start_write(slot, &response, close) {
+                return;
             }
         }
     }
@@ -1015,24 +969,18 @@ impl Reactor<'_> {
     /// A worker finished a request for (`slot`, `generation`): write the response if
     /// the connection is still the same one.
     fn apply_completion(&mut self, completion: Completion) {
-        let core = &self.shared.core;
-        let close = {
-            let Some(conn) = self.conns.get_mut(completion.slot).and_then(Option::as_mut) else {
-                return; // connection died while the request was in flight
-            };
-            if conn.generation != completion.generation || conn.state != ConnState::Dispatched {
-                return;
-            }
-            completion.wants_close
-                || conn.served + 1 >= core.config.max_requests_per_connection
-                || core.shutting_down()
-                || core.is_draining()
+        let Some(conn) = self.conns.get(completion.slot).and_then(Option::as_ref) else {
+            return; // connection died while the request was in flight
         };
-        // Leave Dispatched via Writing; if the write completes synchronously on a
-        // keep-alive connection, drain any pipelined requests that queued up.
-        if let Some(conn) = self.conns[completion.slot].as_mut() {
-            conn.state = ConnState::Reading;
+        if conn.generation != completion.generation || conn.state != ConnState::Dispatched {
+            return;
         }
+        let close = self
+            .shared
+            .core
+            .closes_after(completion.wants_close, conn.served);
+        // If the write completes synchronously on a keep-alive connection, drain any
+        // pipelined requests that queued up meanwhile.
         if self.start_write(completion.slot, &completion.response, close) {
             self.process_parsed(completion.slot);
         }

@@ -3,12 +3,26 @@
 //! ## Two front ends, one core
 //!
 //! The daemon has two interchangeable connection front ends over one shared
-//! [`Core`] (config + metrics + cache + tenant governor + lifecycle flags):
+//! [`Core`] (config + metrics + cache + governors + lifecycle flags). The front ends
+//! own only socket I/O; the per-request protocol is the core's, and both follow it:
+//!
+//! 1. [`Core::admit`] counts a parsed request and either answers it at once (the
+//!    `/healthz` and `/metrics` probes, a tenant's `429`) or admits it under its
+//!    tenant;
+//! 2. [`Core::run`] runs an admitted request on a worker: the `in_flight` gauge, the
+//!    API handlers behind a panic shield, the tenant release, the status count and the
+//!    `X-Fcpn-Elapsed-Us` header (answered-at-once requests get the last two as well);
+//! 3. [`Core::closes_after`] is the keep-alive rule;
+//! 4. [`Core::count_shed`] counts a connection or request shed for saturation or
+//!    drain, and [`Core::malformed`] answers bytes that did not parse as a request.
+//!
+//! The front ends differ only in how sockets reach that protocol:
 //!
 //! - **Reactor** (`config.reactor`, the default on Linux): a single epoll thread
-//!   drives non-blocking per-connection state machines and hands only *complete*
-//!   requests to the CPU worker pool over a bounded queue — a slow or idle client
-//!   costs a few kilobytes of buffer, never a thread. See [`crate::reactor`].
+//!   drives non-blocking per-connection state machines, answers probes and refusals
+//!   itself and hands only admitted requests to the CPU worker pool over a bounded
+//!   queue — a slow or idle client costs a few kilobytes of buffer, never a thread.
+//!   See [`crate::reactor`].
 //! - **Threaded** (the fallback, and the only option off Linux): one accept thread
 //!   owns the [`TcpListener`]; accepted connections are pushed into a bounded FIFO
 //!   guarded by a mutex + condvar, and a fixed pool of worker threads pops
@@ -135,7 +149,8 @@ impl Default for ServerConfig {
 }
 
 /// Everything both front ends share: configuration, counters, the response cache,
-/// the tenant governor and the lifecycle flags.
+/// the tenant and memory governors, the lifecycle flags — and the per-request
+/// protocol (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) config: ServerConfig,
@@ -154,15 +169,15 @@ pub(crate) struct Core {
     pub(crate) draining: AtomicBool,
 }
 
-/// Outcome of per-tenant admission for one request.
+/// What [`Core::admit`] decided for one parsed request.
 pub(crate) enum Admitted {
-    /// Proceed; `tenant` must be released after the request finishes.
-    Ok {
-        /// Bucket key to pass to [`TenantGovernor::release`].
+    /// Answered already (a probe, or a tenant's `429`), counted and stamped: write it.
+    Answer(Response),
+    /// Admitted: hand the request to [`Core::run`] with this tenant's bucket key.
+    Run {
+        /// Bucket key [`Core::run`] releases once the request finishes.
         tenant: String,
     },
-    /// Refused: write this response (keep-alive safe) and do not dispatch.
-    Rejected(Response),
 }
 
 impl Core {
@@ -225,45 +240,15 @@ impl Core {
         Response::error(503, "server saturated; retry later").with_header("Retry-After", "1")
     }
 
-    /// Whether this request is a monitoring probe, exempt from tenant metering (rate
-    /// limiting a health check starves the monitoring that would detect the outage).
-    pub(crate) fn is_probe(request: &Request) -> bool {
-        request.method == "GET" && (request.path == "/healthz" || request.path == "/metrics")
-    }
-
-    /// Runs per-tenant admission for one (non-probe) request, updating the rejection
-    /// counters on refusal.
-    pub(crate) fn admit(&self, request: &Request) -> Admitted {
-        let tenant = TenantGovernor::tenant_key(request.header("x-fcpn-tenant"));
-        match self.tenants.admit(tenant) {
-            Admission::Admitted => Admitted::Ok {
-                tenant: tenant.to_string(),
-            },
-            Admission::RateLimited { retry_after_s } => {
-                self.metrics
-                    .rejected_rate_limited
-                    .fetch_add(1, Ordering::Relaxed);
-                Admitted::Rejected(
-                    Response::error(429, "tenant rate limit exceeded; retry later")
-                        .with_header("Retry-After", &retry_after_s.to_string()),
-                )
-            }
-            Admission::QuotaExceeded => {
-                self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                Admitted::Rejected(
-                    Response::error(429, "tenant in-flight quota exceeded; retry later")
-                        .with_header("Retry-After", "1"),
-                )
-            }
-        }
-    }
-
-    /// Routes one request: the two GET probes are answered here (they need queue
-    /// state), everything else goes through the API handlers. Handler panics (there
-    /// should be none: the pipeline returns typed errors — but the daemon must outlive
-    /// a bug) become `500`s.
-    pub(crate) fn dispatch(&self, request: &Request, queue_depth: usize) -> Response {
-        match (request.method.as_str(), request.path.as_str()) {
+    /// The first step for every parsed request, on the thread that parsed it: counts
+    /// the request, answers the `/healthz` and `/metrics` probes, and runs per-tenant
+    /// admission for everything else. Probes are exempt from tenant metering: rate
+    /// limiting a health check starves the monitoring that would detect the outage.
+    /// `queue_depth` is read only to render `/metrics`.
+    pub(crate) fn admit(&self, request: &Request, queue_depth: impl FnOnce() -> usize) -> Admitted {
+        let started = Instant::now();
+        self.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        let answer = match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Response::json(
                 200,
                 crate::json::Json::obj([("status", crate::json::Json::from("ok"))]).render(),
@@ -279,27 +264,93 @@ impl Core {
                     cache_bytes: self.cache.bytes(),
                     mem_bytes_in_use: self.governor.as_ref().map_or(0, MemGovernor::bytes_in_use),
                     mem_budget_bytes: self.governor.as_ref().map_or(0, MemGovernor::limit_bytes),
-                    queue_depth,
+                    queue_depth: queue_depth(),
                     queue_capacity: self.config.queue_capacity,
                     workers: self.config.workers,
                     tenants: self.tenants.render_json(),
                 }),
             ),
             _ => {
-                let ctx = HandlerCtx {
-                    limits: &self.config.limits,
-                    cache: &self.cache,
-                    metrics: &self.metrics,
-                    governor: self.governor.as_ref(),
-                };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handlers::handle(&ctx, request)
-                })) {
-                    Ok(response) => response,
-                    Err(_) => Response::error(500, "internal error while handling the request"),
+                let tenant = TenantGovernor::tenant_key(request.header("x-fcpn-tenant"));
+                match self.tenants.admit(tenant) {
+                    Admission::Admitted => {
+                        return Admitted::Run {
+                            tenant: tenant.to_string(),
+                        }
+                    }
+                    Admission::RateLimited { retry_after_s } => {
+                        self.metrics
+                            .rejected_rate_limited
+                            .fetch_add(1, Ordering::Relaxed);
+                        Response::error(429, "tenant rate limit exceeded; retry later")
+                            .with_header("Retry-After", &retry_after_s.to_string())
+                    }
+                    Admission::QuotaExceeded => {
+                        self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
+                        Response::error(429, "tenant in-flight quota exceeded; retry later")
+                            .with_header("Retry-After", "1")
+                    }
                 }
             }
-        }
+        };
+        Admitted::Answer(self.finish(answer, started))
+    }
+
+    /// Runs an admitted request on the calling worker: the `in_flight` gauge, the API
+    /// handlers, the tenant release, the status count and `X-Fcpn-Elapsed-Us`. Handler
+    /// panics (there should be none: the pipeline returns typed errors — but the daemon
+    /// must outlive a bug) become `500`s.
+    pub(crate) fn run(&self, request: &Request, tenant: &str) -> Response {
+        let started = Instant::now();
+        self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        let ctx = HandlerCtx {
+            limits: &self.config.limits,
+            cache: &self.cache,
+            metrics: &self.metrics,
+            governor: self.governor.as_ref(),
+        };
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handlers::handle(&ctx, request)
+        }))
+        .unwrap_or_else(|_| Response::error(500, "internal error while handling the request"));
+        self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.tenants.release(tenant);
+        self.finish(response, started)
+    }
+
+    /// Counts the response to a parsed request by status class and stamps how long the
+    /// daemon took over it.
+    fn finish(&self, response: Response, started: Instant) -> Response {
+        self.metrics.count_response(response.status);
+        response.with_header(
+            "X-Fcpn-Elapsed-Us",
+            &started.elapsed().as_micros().to_string(),
+        )
+    }
+
+    /// The keep-alive rule: whether the connection closes after the response to its
+    /// `served`-th request (counted from 0).
+    pub(crate) fn closes_after(&self, wants_close: bool, served: usize) -> bool {
+        wants_close
+            || served + 1 >= self.config.max_requests_per_connection
+            || self.shutting_down()
+            || self.is_draining()
+    }
+
+    /// The answer to bytes that did not parse as a request, counted by status class.
+    /// The connection closes after it: the parser cannot resynchronise.
+    pub(crate) fn malformed(&self, status: u16, message: &str) -> Response {
+        self.metrics.count_response(status);
+        Response::error(status, message)
+    }
+
+    /// Counts one connection or request shed because the daemon is saturated or
+    /// draining; the caller writes [`Core::overload_response`].
+    pub(crate) fn count_shed(&self) {
+        self.metrics
+            .rejected_saturated
+            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.count_response(503);
     }
 }
 
@@ -516,23 +567,11 @@ fn accept_loop(listener: &TcpListener, shared: &ThreadedShared) {
         core.metrics
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        if core.is_draining() {
-            // A draining daemon sheds new work the same way a saturated one does:
-            // immediately, explicitly, and without tying up a worker.
-            core.metrics
-                .rejected_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            core.metrics.count_response(503);
-            reject_saturated(stream, core);
-            continue;
-        }
         let mut queue = shared.lock_queue();
-        if queue.len() >= core.config.queue_capacity {
+        // A draining daemon sheds new work the same way a saturated one does:
+        // immediately, explicitly, and without tying up a worker.
+        if core.is_draining() || queue.len() >= core.config.queue_capacity {
             drop(queue);
-            core.metrics
-                .rejected_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            core.metrics.count_response(503);
             reject_saturated(stream, core);
         } else {
             queue.push_back(stream);
@@ -545,6 +584,7 @@ fn accept_loop(listener: &TcpListener, shared: &ThreadedShared) {
 /// Answers the shed `503` on the accept thread itself — the whole point of the bounded
 /// queue is that saturation costs one small write, not a worker.
 fn reject_saturated(mut stream: TcpStream, core: &Core) {
+    core.count_shed();
     let _ = stream.set_write_timeout(Some(core.config.write_timeout));
     let _ = http::write_response(&mut stream, &Core::overload_response(), true);
 }
@@ -585,35 +625,16 @@ fn serve_connection(stream: TcpStream, shared: &ThreadedShared) {
             Ok(Some(request)) => request,
             Ok(None) | Err(HttpError::Disconnected) => return,
             Err(HttpError::Malformed { status, message }) => {
-                let response = Response::error(status, &message);
-                core.metrics.count_response(response.status);
+                let response = core.malformed(status, &message);
                 let _ = http::write_response(reader.get_mut(), &response, true);
                 return;
             }
         };
-        core.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let response = if Core::is_probe(&request) {
-            core.dispatch(&request, shared.lock_queue().len())
-        } else {
-            match core.admit(&request) {
-                Admitted::Ok { tenant } => {
-                    core.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let response = core.dispatch(&request, shared.lock_queue().len());
-                    core.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    core.tenants.release(&tenant);
-                    response
-                }
-                Admitted::Rejected(response) => response,
-            }
+        let response = match core.admit(&request, || shared.lock_queue().len()) {
+            Admitted::Answer(response) => response,
+            Admitted::Run { tenant } => core.run(&request, &tenant),
         };
-        let elapsed_us = started.elapsed().as_micros();
-        core.metrics.count_response(response.status);
-        let response = response.with_header("X-Fcpn-Elapsed-Us", &elapsed_us.to_string());
-        let close = request.wants_close()
-            || served + 1 >= core.config.max_requests_per_connection
-            || core.shutting_down()
-            || core.is_draining();
+        let close = core.closes_after(request.wants_close(), served);
         let write_deadline = Instant::now() + core.config.response_write_deadline;
         if http::write_response_deadline(reader.get_mut(), &response, close, Some(write_deadline))
             .is_err()

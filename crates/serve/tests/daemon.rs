@@ -878,6 +878,76 @@ fn tenant_rate_limit_answers_429_with_retry_after_and_metrics() {
     });
 }
 
+#[test]
+fn per_request_bookkeeping_is_identical_on_both_front_ends() {
+    // A probe, a tenant 429, a 200 and a malformed-net 400 each take a different branch
+    // of the per-request protocol; afterwards every gauge is back at zero, and the
+    // request and status-class counters agree on both front ends.
+    let counters = std::sync::Mutex::new(Vec::new());
+    for_each_front_end(|reactor| {
+        let handle = spawn_on(
+            reactor,
+            ServerConfig {
+                // One token and no refill within the test: the second metered request
+                // from the same tenant is refused.
+                tenant: fcpn_serve::TenantPolicy {
+                    rate: 0.001,
+                    burst: 1.0,
+                    ..fcpn_serve::TenantPolicy::default()
+                },
+                ..ServerConfig::default()
+            },
+        );
+        let text = to_text(&gallery::figure4());
+        let acme = [("X-Fcpn-Tenant", "acme")];
+        let mut c = client(&handle);
+        let mut status = |method: &str, path: &str, headers: &[(&str, &str)], body: &[u8]| {
+            c.request_with_headers(method, path, headers, body)
+                .expect("answered on the same keep-alive connection")
+                .status
+        };
+        assert_eq!(status("GET", "/healthz", &[], b""), 200);
+        assert_eq!(status("POST", "/schedule", &acme, text.as_bytes()), 200);
+        assert_eq!(status("POST", "/schedule", &acme, text.as_bytes()), 429);
+        assert_eq!(status("POST", "/schedule", &[], b"net x\nfoo bar"), 400);
+
+        let metrics = c.request("GET", "/metrics", b"").expect("metrics");
+        let value = fcpn_serve::json::parse(&metrics.body).expect("metrics is valid JSON");
+        assert_eq!(value.get("in_flight").unwrap().as_u64(), Some(0));
+        let tenants = value.get("tenants").unwrap().as_obj().unwrap();
+        assert_eq!(tenants.len(), 2, "acme and the default tenant");
+        for (name, tenant) in tenants {
+            assert_eq!(
+                tenant.get("in_flight").unwrap().as_u64(),
+                Some(0),
+                "tenant {name} (reactor={reactor})"
+            );
+        }
+        let seen: Vec<Option<u64>> = [
+            "requests_total",
+            "responses_ok",
+            "responses_client_error",
+            "responses_server_error",
+        ]
+        .iter()
+        .map(|key| value.get(key).unwrap().as_u64())
+        .collect();
+        // The `/metrics` request counts itself, but its response is not counted yet.
+        assert_eq!(
+            seen,
+            [Some(5), Some(2), Some(2), Some(0)],
+            "reactor={reactor}"
+        );
+        counters.lock().unwrap().push(seen);
+        handle.shutdown();
+    });
+    let counters = counters.into_inner().unwrap();
+    assert!(
+        counters.windows(2).all(|pair| pair[0] == pair[1]),
+        "{counters:?}"
+    );
+}
+
 // ——— Reactor-only mechanics ————————————————————————————————————————————————
 
 #[cfg(target_os = "linux")]
