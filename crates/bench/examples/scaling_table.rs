@@ -11,6 +11,10 @@
 //! Without `--out` the JSON goes to stdout. `FCPN_BENCH_SAMPLES` controls the number of
 //! interleaved measurement rounds per case (default 9).
 //!
+//! Schema v8 drops the `server` section that v5 added: the repository benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`) measures the daemon end to end and
+//! layer by layer, so this file no longer carries a second daemon load benchmark.
+//!
 //! Schema v7 adds the `synthesis` section: region-based net synthesis
 //! ([`fcpn_petri::synthesis`]) timed end to end — explore a bounded net, rebuild a net
 //! from the behaviour via the sparse Farkas region basis, verify by re-exploration —
@@ -21,11 +25,6 @@
 //! pool) against the tree-walking interpreter oracle, pumping the same activation
 //! stream through both and recording sustained events/sec (see
 //! `fcpn_bench::pump_interpreter` / `pump_compiled` and the `codegen_exec` bench).
-//!
-//! Schema v5 adds the `server` section: the `fcpn-serve` daemon is spawned in-process
-//! on an ephemeral port and the gallery + ATM nets are replayed against `/schedule` and
-//! `/analyze` from concurrent connections, recording p50/p95 request latency,
-//! throughput and the result-cache hit rate (see `fcpn_bench::serveload`).
 //!
 //! Schema v4: every explore case records one row per engine configuration —
 //! `(threads, token_width)` — alongside the retained naive and sequential-`u64`
@@ -716,26 +715,6 @@ fn main() {
     })
     .collect();
 
-    // The daemon under load: in-process server, concurrent connections replaying the
-    // gallery + ATM nets (the state budget on /analyze keeps the per-miss exploration
-    // proportionate to a smoke run; cache hits dominate after the first pass anyway).
-    eprintln!("measuring daemon load (in-process fcpn-serve)...");
-    let server_spec = fcpn_bench::serveload::ServerBenchSpec {
-        connections: 16,
-        requests_per_connection: 8,
-        workers: 4,
-        endpoints: vec![
-            "/schedule".to_string(),
-            "/analyze?max_markings=20000".to_string(),
-        ],
-        include_atm: true,
-        ..fcpn_bench::serveload::ServerBenchSpec::default()
-    };
-    let server_section = fcpn_bench::serveload::run_in_process(&server_spec);
-    for row in &server_section.rows {
-        eprintln!("  {}", row.summary_line());
-    }
-
     // The paper's complexity ablation: schedule + synthesise a sweep of choice chains,
     // with the component cache on (the default) and off.
     eprintln!("measuring QSS + codegen scaling sweep (cache on/off)...");
@@ -793,7 +772,7 @@ fn main() {
         .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"fcpn-bench/statespace-v7\",\n");
+    json.push_str("  \"schema\": \"fcpn-bench/statespace-v8\",\n");
     json.push_str(&format!("  \"samples_per_case\": {},\n", samples()));
     // Multi-threaded rows are only meaningful relative to this: with a single host
     // core the sharded scheduler sweep serialises onto one CPU and pays pure
@@ -814,7 +793,7 @@ fn main() {
             row.naive_ms,
         ));
         json.push_str("     \"engine\": [\n");
-        // `threads` stays in the v7 schema; exploration is single-threaded.
+        // `threads` stays in the schema; exploration is single-threaded.
         for (j, engine) in row.engine.iter().enumerate() {
             json.push_str(&format!(
                 "       {{\"threads\": 1, \"token_width\": \"{}\", \"best_ms\": {:.3}, \
@@ -926,7 +905,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!("  \"server\": {},\n", server_section.render()));
     json.push_str("  \"synthesis\": [\n");
     for (i, row) in synthesis_rows.iter().enumerate() {
         json.push_str(&format!(

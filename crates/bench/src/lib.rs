@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod serveload;
-
 use fcpn_codegen::{
     synthesize, CompiledProgram, ExecSession, Interpreter, Program, RoundRobinResolver,
     SynthesisOptions,

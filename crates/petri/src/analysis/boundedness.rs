@@ -74,8 +74,9 @@ pub fn check_boundedness(net: &PetriNet, options: BoundednessOptions) -> Bounded
 ///
 /// Only `explore.cancel` and `explore.memory` are read: the verdict comes from the
 /// covering search alone, so it is the same for every `threads`, `width` and `reach`
-/// setting. A caller that already holds a *complete* state space can skip the search,
-/// since `k` is then the space's largest token count.
+/// setting. In particular `explore.reach` caps nothing here — the search's node cap is
+/// [`BoundednessOptions::max_nodes`]. A caller that already holds a *complete* state
+/// space can skip the search, since `k` is then the space's largest token count.
 pub fn check_boundedness_with(
     net: &PetriNet,
     options: BoundednessOptions,
@@ -89,6 +90,10 @@ pub fn check_boundedness_with(
 /// `explore.memory`: the covering search polls the token, charges the budget, and
 /// surfaces an [`Interrupt`] instead of a verdict when either guard trips.
 /// Never-firing guards make this identical to [`check_boundedness_with`].
+///
+/// Like [`check_boundedness_with`], it reads only `explore.cancel` and
+/// `explore.memory`; `explore.reach` has no effect, and
+/// [`BoundednessOptions::max_nodes`] is the node cap.
 ///
 /// # Errors
 ///

@@ -541,7 +541,6 @@ fn synthesis(
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RequestOptions {
     threads: usize,
-    reuse_component_cache: bool,
     use_result_cache: bool,
     max_allocations: u128,
     max_markings: usize,
@@ -654,7 +653,6 @@ impl RequestOptions {
 
         Ok(RequestOptions {
             threads,
-            reuse_component_cache: parse_bool("component_cache", true)?,
             use_result_cache: parse_bool("cache", true)?,
             max_allocations,
             max_markings,
@@ -687,7 +685,6 @@ impl RequestOptions {
         fp.fold(endpoint as u64);
         fp.fold(fingerprint as u64);
         fp.fold((fingerprint >> 64) as u64);
-        fp.fold(self.reuse_component_cache as u64);
         fp.fold(self.max_allocations as u64);
         fp.fold((self.max_allocations >> 64) as u64);
         fp.fold(self.max_markings as u64);
@@ -718,10 +715,10 @@ impl RequestOptions {
             allocation: AllocationOptions {
                 max_allocations: self.max_allocations,
             },
-            reuse_component_cache: self.reuse_component_cache,
             threads: self.threads,
             cancel,
             memory: self.memory(),
+            ..QssOptions::default()
         }
     }
 
@@ -769,8 +766,8 @@ fn schedule(
 }
 
 /// Renders the deterministic `/schedule` response body for an outcome. Public so tests
-/// and the load generator can assert the daemon's answers are bit-identical to direct
-/// library calls.
+/// and the repository benchmark can assert the daemon's answers are bit-identical to
+/// direct library calls.
 ///
 /// The body holds one cycle (or failure) per T-allocation, so it grows with every free
 /// choice; it is written in one pass into one `String` rather than built as a [`Json`]
@@ -1224,8 +1221,8 @@ mod tests {
             governor: None,
         };
         let text = to_text(&gallery::figure4());
-        handle(&ctx, &post("/schedule?component_cache=1", &text));
-        handle(&ctx, &post("/schedule?component_cache=0", &text));
+        handle(&ctx, &post("/codegen", &text));
+        handle(&ctx, &post("/codegen?lang=rust", &text));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 2);
     }
@@ -1726,7 +1723,6 @@ mod tests {
         let text = to_text(&gallery::figure4());
         for query in [
             "/schedule?threads=abc",
-            "/schedule?component_cache=maybe",
             "/analyze?max_markings=-2",
             "/codegen?lang=fortran",
         ] {

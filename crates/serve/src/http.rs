@@ -1,17 +1,19 @@
-//! A minimal HTTP/1.1 layer: request parsing with hard limits, response writing.
+//! A minimal HTTP/1.1 layer: one request parser with hard limits, response writing.
 //!
 //! The daemon speaks just enough HTTP for its POST/GET endpoints: request line,
-//! headers, `Content-Length` bodies, percent-encoded query strings and keep-alive.
-//! Everything is bounded — head size, header count, body size, and (via the `deadline`
-//! handed to [`read_request`]) total wall-clock per request read — so a hostile peer
-//! can exhaust neither memory nor a worker's time: the per-`read` socket timeout alone
-//! would not stop a slow-loris client dripping one byte per interval, but the deadline
-//! is checked after every read, so a request that has not arrived in full by then is
-//! dropped. No chunked transfer encoding: requests carrying `Transfer-Encoding` are
+//! headers, `Content-Length` bodies, percent-encoded query strings, keep-alive and
+//! pipelining. There is one request parser, [`IncrementalParser`], and both front ends
+//! feed it: the reactor with non-blocking reads, the threaded front end with blocking
+//! ones. So every status and error message a client can see for a malformed request
+//! comes from the same code on both. Everything is bounded — head size, header count,
+//! body size, and total wall-clock per request read — so a hostile peer can exhaust
+//! neither memory nor a worker's time: the per-`read` socket timeout alone would not
+//! stop a slow-loris client dripping one byte per interval, but the read deadline
+//! would. No chunked transfer encoding: requests carrying `Transfer-Encoding` are
 //! rejected with `411 Length Required` semantics (the daemon's clients always know
 //! their body length up front).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,10 +65,9 @@ impl Request {
     /// First value of a header (name matched case-insensitively against the stored
     /// lower-case form).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -77,111 +78,30 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// A request that could not be parsed: the server answers with this status and
+/// message, then closes the connection (the parser cannot resynchronise).
 #[derive(Debug)]
-pub enum HttpError {
-    /// The peer closed (or timed out) before sending a complete request; nothing to
-    /// answer.
-    Disconnected,
-    /// The request was syntactically invalid or exceeded a limit; the server should
-    /// answer with this status and close.
-    Malformed {
-        /// Suggested response status (400, 413, …).
-        status: u16,
-        /// Human-readable reason, echoed in the error body.
-        message: String,
-    },
+pub struct HttpError {
+    /// Suggested response status (400, 413, …).
+    pub status: u16,
+    /// Human-readable reason, echoed in the error body.
+    pub message: String,
 }
 
 impl HttpError {
     fn bad(message: impl Into<String>) -> Self {
-        HttpError::Malformed {
+        HttpError {
             status: 400,
             message: message.into(),
         }
     }
 }
 
-/// Reads one request from `reader`.
-///
-/// Returns `Ok(None)` when the peer closed before sending any byte (the normal end of a
-/// keep-alive connection). `deadline`, when given, bounds the **total** wall-clock
-/// spent reading this request (checked after every read): a slow-loris peer dripping
-/// bytes under the socket timeout still loses its worker at the deadline. The
-/// keep-alive idle wait (blocking for the first byte) is bounded by the socket read
-/// timeout, not the deadline.
-///
-/// # Errors
-///
-/// [`HttpError::Disconnected`] on mid-request EOF, socket timeout or a blown deadline;
-/// [`HttpError::Malformed`] (with a suggested status) on syntax errors or exceeded
-/// limits.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-    deadline: Option<Instant>,
-) -> Result<Option<Request>, HttpError> {
-    let mut head_bytes = 0usize;
-    let request_line = match read_line(reader, limits, deadline, &mut head_bytes)? {
-        None => return Ok(None),
-        Some(line) if line.is_empty() => {
-            // Tolerate a stray CRLF between pipelined requests.
-            match read_line(reader, limits, deadline, &mut head_bytes)? {
-                None => return Ok(None),
-                Some(line) => line,
-            }
-        }
-        Some(line) => line,
-    };
-
-    let mut header_lines: Vec<String> = Vec::new();
-    loop {
-        let line = match read_line(reader, limits, deadline, &mut head_bytes)? {
-            None => return Err(HttpError::Disconnected),
-            Some(line) => line,
-        };
-        if line.is_empty() {
-            break;
-        }
-        // The head-byte budget above bounds memory; the header-count limit is
-        // enforced when the head is assembled.
-        header_lines.push(line);
-    }
-
-    let (mut request, content_length) = assemble_head(
-        &request_line,
-        header_lines.iter().map(String::as_str),
-        limits,
-    )?;
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        // Chunked reads with a deadline check between them, so a body dripped under
-        // the socket timeout still cannot hold the worker past the deadline.
-        let mut filled = 0usize;
-        while filled < content_length {
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                return Err(HttpError::Disconnected);
-            }
-            let end = (filled + 8192).min(content_length);
-            reader
-                .read_exact(&mut body[filled..end])
-                .map_err(|_| HttpError::Disconnected)?;
-            filled = end;
-        }
-    }
-
-    request.body = body;
-    Ok(Some(request))
-}
-
 /// Parses a complete request head (request line + header lines, line terminators
 /// already stripped) into a body-less [`Request`] plus the declared `Content-Length`.
-///
-/// Both front ends go through this: the blocking reader collects lines one blocking
-/// `read` at a time, the reactor's [`IncrementalParser`] splits a buffered head — but
-/// every status code and error message a client can observe comes from this one
-/// function, so the two paths stay bit-identical.
-pub(crate) fn assemble_head<'a>(
+/// Every status code and error message a client can observe for a malformed head
+/// comes from here.
+fn assemble_head<'a>(
     request_line: &str,
     header_lines: impl Iterator<Item = &'a str>,
     limits: &HttpLimits,
@@ -216,7 +136,7 @@ pub(crate) fn assemble_head<'a>(
     let mut headers: Vec<(String, String)> = Vec::new();
     for line in header_lines {
         if headers.len() >= limits.max_headers {
-            return Err(HttpError::Malformed {
+            return Err(HttpError {
                 status: 431,
                 message: format!("more than {} headers", limits.max_headers),
             });
@@ -234,7 +154,7 @@ pub(crate) fn assemble_head<'a>(
             .map(|(_, v)| v.as_str())
     };
     if header("transfer-encoding").is_some() {
-        return Err(HttpError::Malformed {
+        return Err(HttpError {
             status: 411,
             message: "chunked bodies are not supported; send Content-Length".into(),
         });
@@ -263,7 +183,7 @@ pub(crate) fn assemble_head<'a>(
         }
     };
     if content_length > limits.max_body_bytes {
-        return Err(HttpError::Malformed {
+        return Err(HttpError {
             status: 413,
             message: format!(
                 "body of {content_length} bytes exceeds the {} byte limit",
@@ -284,14 +204,16 @@ pub(crate) fn assemble_head<'a>(
     ))
 }
 
-/// Incremental HTTP/1.1 request parser for the non-blocking reactor path.
+/// The daemon's one HTTP/1.1 request parser, shared by both front ends.
 ///
-/// The reactor feeds whatever bytes `read(2)` produced — a byte, a half request, three
-/// pipelined requests — and polls for complete requests. Parsing state survives across
-/// feeds, so a head split at any byte boundary parses identically to one delivered
-/// whole. Limits are enforced *mid-stream*: a head that exceeds `max_head_bytes`
-/// before its terminator arrives is rejected without buffering the rest, which is the
-/// property that makes 10k slow-loris clients cost kilobytes instead of threads.
+/// A front end feeds whatever bytes `read(2)` produced — a byte, a half request, three
+/// pipelined requests — and polls for complete requests: the reactor from its
+/// non-blocking sockets, the threaded front end from blocking reads, one parser per
+/// connection either way. Parsing state survives across feeds, so a head split at any
+/// byte boundary parses identically to one delivered whole. Limits are enforced
+/// *mid-stream*: a head that exceeds `max_head_bytes` before its terminator arrives is
+/// rejected without buffering the rest, which is the property that makes 10k
+/// slow-loris clients cost kilobytes instead of threads.
 #[derive(Debug)]
 pub struct IncrementalParser {
     limits: HttpLimits,
@@ -345,9 +267,8 @@ impl IncrementalParser {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Malformed`] exactly as the blocking reader would classify the same
-    /// request (the head is assembled by the same code). The parser is unusable after
-    /// an error; the connection must be closed.
+    /// [`HttpError`] (with a suggested status) on syntax errors or exceeded limits. The
+    /// parser is unusable after an error; the connection must be closed.
     pub fn poll(&mut self) -> Result<Option<Request>, HttpError> {
         if let ParseState::Body { content_length, .. } = &self.state {
             let content_length = *content_length;
@@ -363,8 +284,7 @@ impl IncrementalParser {
             return Ok(Some(*request));
         }
 
-        // Tolerate stray blank lines between pipelined requests (the blocking path's
-        // stray-CRLF leniency, generalised).
+        // Tolerate stray blank lines between pipelined requests.
         loop {
             if self.buf.starts_with(b"\r\n") {
                 self.buf.drain(..2);
@@ -378,7 +298,7 @@ impl IncrementalParser {
 
         let Some(head_end) = self.find_head_terminator() else {
             if self.buf.len() > self.limits.max_head_bytes {
-                return Err(HttpError::Malformed {
+                return Err(HttpError {
                     status: 431,
                     message: format!("request head exceeds {} bytes", self.limits.max_head_bytes),
                 });
@@ -386,7 +306,7 @@ impl IncrementalParser {
             return Ok(None);
         };
         if head_end > self.limits.max_head_bytes {
-            return Err(HttpError::Malformed {
+            return Err(HttpError {
                 status: 431,
                 message: format!("request head exceeds {} bytes", self.limits.max_head_bytes),
             });
@@ -430,51 +350,36 @@ impl IncrementalParser {
         self.scanned = self.buf.len();
         None
     }
-}
 
-/// Reads one CRLF- (or LF-) terminated line, enforcing the head-byte budget and the
-/// per-request deadline. `Ok(None)` only on EOF before the first byte of the line.
-fn read_line(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-    deadline: Option<Instant>,
-    head_bytes: &mut usize,
-) -> Result<Option<String>, HttpError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Disconnected);
+    /// The threaded front end's read loop: feeds blocking `read`s from `reader` into
+    /// the parser until one request is complete, polling first so pipelined bytes
+    /// already buffered are served without touching the socket.
+    ///
+    /// `Ok(None)` means there is nothing to answer: the peer closed, the socket failed
+    /// or timed out, or a read returned after `deadline`. The deadline is checked after
+    /// every read, so a slow-loris peer dripping bytes under the socket's read timeout
+    /// still loses its worker at the deadline.
+    ///
+    /// # Errors
+    ///
+    /// As [`IncrementalParser::poll`].
+    pub(crate) fn next_request(
+        &mut self,
+        reader: &mut impl Read,
+        deadline: Instant,
+    ) -> Result<Option<Request>, HttpError> {
+        let mut chunk = [0u8; 8192];
+        loop {
+            if let Some(request) = self.poll()? {
+                return Ok(Some(request));
             }
-            Ok(_) => {
-                *head_bytes += 1;
-                if deadline.is_some_and(|d| Instant::now() > d) {
-                    return Err(HttpError::Disconnected);
-                }
-                if *head_bytes > limits.max_head_bytes {
-                    return Err(HttpError::Malformed {
-                        status: 431,
-                        message: format!("request head exceeds {} bytes", limits.max_head_bytes),
-                    });
-                }
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return match String::from_utf8(line) {
-                        Ok(s) => Ok(Some(s)),
-                        Err(_) => Err(HttpError::bad("non-UTF-8 request head")),
-                    };
-                }
-                line.push(byte[0]);
+            match reader.read(&mut chunk) {
+                Ok(0) => return Ok(None),
+                Ok(_) if Instant::now() > deadline => return Ok(None),
+                Ok(n) => self.feed(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Ok(None),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Timeout or reset mid-head: the connection is unusable either way.
-            Err(_) => return Err(HttpError::Disconnected),
         }
     }
 }
@@ -674,14 +579,32 @@ pub fn write_response_deadline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+
+    /// Reads one request the way the threaded front end does: blocking reads into a
+    /// fresh parser.
+    fn read_with(reader: &mut impl Read, limits: HttpLimits) -> Result<Option<Request>, HttpError> {
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        IncrementalParser::new(limits).next_request(reader, deadline)
+    }
 
     fn parse_str(input: &str) -> Result<Option<Request>, HttpError> {
-        read_request(
-            &mut BufReader::new(input.as_bytes()),
-            &HttpLimits::default(),
-            None,
-        )
+        read_with(&mut input.as_bytes(), HttpLimits::default())
+    }
+
+    /// A reader that hands out one byte per `read`, like a peer dripping its request.
+    struct Drip<'a>(&'a [u8]);
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.split_first() {
+                Some((&byte, rest)) if !out.is_empty() => {
+                    out[0] = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
     }
 
     #[test]
@@ -716,10 +639,7 @@ mod tests {
         // `from_str_radix` alone would accept the sign prefix in `%+a`.
         for target in ["/x%+a", "/x%4", "/x%zz"] {
             let err = parse_str(&format!("GET {target} HTTP/1.1\r\n\r\n")).unwrap_err();
-            assert!(
-                matches!(err, HttpError::Malformed { status: 400, .. }),
-                "{target}"
-            );
+            assert!(matches!(err, HttpError { status: 400, .. }), "{target}");
         }
     }
 
@@ -730,7 +650,7 @@ mod tests {
         let err =
             parse_str("POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello")
                 .unwrap_err();
-        assert!(matches!(err, HttpError::Malformed { status: 400, .. }));
+        assert!(matches!(err, HttpError { status: 400, .. }));
         // Repeated but agreeing values are harmless.
         let req =
             parse_str("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
@@ -750,29 +670,29 @@ mod tests {
             max_body_bytes: 4,
             ..HttpLimits::default()
         };
-        let err = read_request(
-            &mut BufReader::new(&b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789"[..]),
-            &limits,
-            None,
+        let err = read_with(
+            &mut &b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789"[..],
+            limits,
         )
         .unwrap_err();
-        match err {
-            HttpError::Malformed { status, .. } => assert_eq!(status, 413),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(err.status, 413);
     }
 
     #[test]
     fn truncated_body_is_disconnected() {
-        let err = parse_str("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").unwrap_err();
-        assert!(matches!(err, HttpError::Disconnected));
+        // EOF mid-body leaves nothing to answer: the front end drops the connection.
+        assert!(
+            parse_str("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
     fn garbage_request_line_is_malformed() {
         assert!(matches!(
             parse_str("NONSENSE\r\n\r\n"),
-            Err(HttpError::Malformed { .. })
+            Err(HttpError { status: 400, .. })
         ));
     }
 
@@ -858,10 +778,7 @@ mod tests {
             }
         }
         let (chunk, err) = rejected.expect("oversized head never rejected");
-        match err {
-            HttpError::Malformed { status, .. } => assert_eq!(status, 431),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(err.status, 431);
         // Rejection happened as soon as the budget blew, not at some later horizon.
         assert!(
             parser.buffered() <= 64 + 8 + 5,
@@ -871,33 +788,37 @@ mod tests {
 
     #[test]
     fn incremental_parser_matches_blocking_reader_on_errors() {
-        // Same malformed inputs, same statuses and messages on both paths.
-        for wire in [
-            "NONSENSE\r\n\r\n",
-            "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello",
-            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
-            "GET /x%zz HTTP/1.1\r\n\r\n",
+        // Same malformed inputs, same statuses and messages whether the bytes arrive in
+        // one feed or one blocking read per byte.
+        for (wire, status, message) in [
+            ("NONSENSE\r\n\r\n", 400, "missing request target"),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello",
+                400,
+                "conflicting Content-Length headers",
+            ),
+            (
+                "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                411,
+                "chunked bodies are not supported; send Content-Length",
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+                400,
+                "invalid Content-Length",
+            ),
+            ("GET /x%zz HTTP/1.1\r\n\r\n", 400, "bad path encoding"),
         ] {
-            let blocking = parse_str(wire).unwrap_err();
             let mut parser = IncrementalParser::new(HttpLimits::default());
             parser.feed(wire.as_bytes());
-            let incremental = parser.poll().unwrap_err();
-            match (blocking, incremental) {
-                (
-                    HttpError::Malformed {
-                        status: sa,
-                        message: ma,
-                    },
-                    HttpError::Malformed {
-                        status: sb,
-                        message: mb,
-                    },
-                ) => {
-                    assert_eq!(sa, sb, "{wire:?}");
-                    assert_eq!(ma, mb, "{wire:?}");
-                }
-                other => panic!("mismatched classification for {wire:?}: {other:?}"),
+            let whole = parser.poll().unwrap_err();
+            let dripped = read_with(&mut Drip(wire.as_bytes()), HttpLimits::default()).unwrap_err();
+            for err in [whole, dripped] {
+                assert_eq!(
+                    (err.status, err.message.as_str()),
+                    (status, message),
+                    "{wire:?}"
+                );
             }
         }
     }

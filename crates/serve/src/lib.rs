@@ -3,7 +3,7 @@
 //! The service layer of the reproduction of *Synthesis of Embedded Software Using
 //! Free-Choice Petri Nets* (DAC 1999): a long-running daemon that serves synthesis
 //! requests over HTTP/1.1 on a plain [`std::net::TcpListener`] — the workspace is
-//! offline, so the protocol layer, the JSON layer and the load generator are all
+//! offline, so the protocol layer, the JSON layer and the client are all
 //! hand-rolled, following the `crates/shims` precedent of zero external dependencies.
 //!
 //! ## Endpoints
@@ -48,9 +48,14 @@
 //! # }
 //! ```
 //!
+//! Both connection front ends (the epoll reactor and the threaded fallback) parse
+//! requests with the one [`IncrementalParser`] and follow one per-request protocol,
+//! so the wire contract does not depend on which one is serving.
+//!
 //! The `fcpn-served` binary (in the workspace root) wires this up as a standalone
-//! process; `fcpn-bench`'s `serve_load` example replays gallery/ATM nets against it and
-//! reports latency quantiles and cache hit rate.
+//! process. The repository benchmark (`perfbench/`, see `BENCHMARK.json`) measures the
+//! daemon's throughput, latency quantiles and per-layer costs; `fcpn-bench`'s
+//! `serve_load` example is a connection-fanout probe for the reactor.
 
 // `deny` instead of `forbid`: the epoll reactor's syscall shim (`reactor::sys`) is the
 // one place allowed to opt back in, with the same minimal-`extern "C"` discipline the
@@ -75,7 +80,7 @@ pub mod tenant;
 pub use cache::{CachedResponse, ResultCache};
 pub use handlers::{schedule_response_body, HandlerCtx, MemGovernor, RequestLimits};
 pub use http::{HttpLimits, IncrementalParser, Request, Response};
-pub use load::{Backoff, Client, ClientResponse, FanoutReport, FanoutSpec, LoadReport, LoadSpec};
+pub use load::{Backoff, Client, ClientResponse, FanoutReport, FanoutSpec};
 pub use metrics::{Metrics, RuntimeStats};
 pub use persist::RecoveryStats;
 pub use server::{Server, ServerConfig, ServerHandle};
@@ -91,6 +96,6 @@ mod tests {
         assert_send_sync::<ServerConfig>();
         assert_send_sync::<ResultCache>();
         assert_send_sync::<Metrics>();
-        assert_send_sync::<LoadSpec>();
+        assert_send_sync::<FanoutSpec>();
     }
 }

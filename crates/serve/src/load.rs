@@ -1,13 +1,13 @@
-//! A raw-socket HTTP client and a concurrent load generator.
+//! A raw-socket HTTP client and a connection-fanout load generator.
 //!
 //! The client is deliberately tiny — enough HTTP/1.1 to talk to the daemon over a
-//! keep-alive [`TcpStream`] — and the load generator replays a set of nets from N
-//! concurrent connections, collecting per-request latencies into p50/p95 quantiles and
-//! reading the daemon's cache counters off `/metrics`. The `serve_load` example in
-//! `fcpn-bench` drives this module from the command line, and the benchmark baseline
-//! emitter uses it to populate the `server` section of `BENCH_statespace.json`.
+//! keep-alive [`TcpStream`]; the chaos harness, the socket tests and the repository
+//! benchmark (`perfbench/`) all speak through it. The fanout generator drives many
+//! connections from one epoll thread, collecting per-request latencies into p50/p95
+//! quantiles per tenant; the `serve_load` example in `fcpn-bench` runs it from the
+//! command line. Daemon throughput and latency are measured by perfbench, which is
+//! the one load benchmark.
 
-use crate::json::{parse, Json};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -263,73 +263,6 @@ pub fn open_idle_sockets(addr: &str, count: usize) -> io::Result<Vec<TcpStream>>
     Ok(sockets)
 }
 
-/// What the load generator replays.
-#[derive(Debug, Clone)]
-pub struct LoadSpec {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Requests issued per connection.
-    pub requests_per_connection: usize,
-    /// Endpoint path + query, e.g. `"/schedule?threads=1"`.
-    pub target: String,
-    /// The nets to replay: `(label, text-format body)`. Connections round-robin over
-    /// them, each starting at its own offset so the mix is uniform.
-    pub nets: Vec<(String, String)>,
-    /// Per-request socket timeout.
-    pub timeout: Duration,
-}
-
-impl Default for LoadSpec {
-    fn default() -> Self {
-        LoadSpec {
-            connections: 8,
-            requests_per_connection: 32,
-            target: "/schedule".into(),
-            nets: Vec::new(),
-            timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Aggregate outcome of one load run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests attempted (`connections × requests_per_connection`).
-    pub requests: usize,
-    /// `200` responses.
-    pub ok: usize,
-    /// `503` responses (saturation or deadline).
-    pub rejected: usize,
-    /// Any other status or transport error.
-    pub errors: usize,
-    /// Median request latency in microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile request latency in microseconds.
-    pub p95_us: f64,
-    /// Worst observed latency in microseconds.
-    pub max_us: f64,
-    /// Wall-clock time of the whole run in milliseconds.
-    pub wall_ms: f64,
-    /// Completed requests per second over the wall clock.
-    pub throughput_rps: f64,
-    /// Daemon cache hits during the run (delta of `/metrics`).
-    pub cache_hits: u64,
-    /// Daemon cache misses during the run (delta of `/metrics`).
-    pub cache_misses: u64,
-}
-
-impl LoadReport {
-    /// Cache hit rate over the run (`0.0` when no cacheable request completed).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 fn quantile(sorted_us: &[f64], q: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;
@@ -338,146 +271,13 @@ fn quantile(sorted_us: &[f64], q: f64) -> f64 {
     sorted_us[rank.min(sorted_us.len() - 1)]
 }
 
-fn cache_counters(addr: &str, timeout: Duration) -> io::Result<(u64, u64)> {
-    let mut client = Client::connect(addr, timeout)?;
-    let response = client.request("GET", "/metrics", b"")?;
-    if response.status != 200 {
-        // A shed (503) probe parses as JSON too — failing loudly beats publishing a
-        // zero-delta cache rate into the benchmark baseline.
-        return Err(io::Error::other(format!(
-            "/metrics answered {}",
-            response.status
-        )));
-    }
-    let value = parse(&response.body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let read = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
-    Ok((read("cache_hits"), read("cache_misses")))
-}
-
-/// Runs the load: `spec.connections` threads each replay
-/// `spec.requests_per_connection` requests against `addr`, round-robin over
-/// `spec.nets`.
-///
-/// # Errors
-///
-/// Only setup failures (connecting for the `/metrics` snapshots) error out; individual
-/// request failures are counted in the report.
-///
-/// # Panics
-///
-/// Panics if `spec.nets` is empty.
-pub fn run_load(addr: &str, spec: &LoadSpec) -> io::Result<LoadReport> {
-    assert!(!spec.nets.is_empty(), "load spec has no nets to replay");
-    let (hits_before, misses_before) = cache_counters(addr, spec.timeout)?;
-    let started = Instant::now();
-
-    struct ConnOutcome {
-        latencies_us: Vec<f64>,
-        ok: usize,
-        rejected: usize,
-        errors: usize,
-    }
-
-    let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spec.connections)
-            .map(|conn_index| {
-                scope.spawn(move || {
-                    let mut outcome = ConnOutcome {
-                        latencies_us: Vec::with_capacity(spec.requests_per_connection),
-                        ok: 0,
-                        rejected: 0,
-                        errors: 0,
-                    };
-                    let mut client = None;
-                    // Reconnects after failures back off exponentially with per-
-                    // connection jitter, so a fleet recovering from a daemon restart
-                    // does not stampede in lockstep.
-                    let mut backoff = Backoff::seeded_from(addr.as_bytes(), conn_index as u64);
-                    for i in 0..spec.requests_per_connection {
-                        if client.is_none() {
-                            client = Client::connect(addr, spec.timeout).ok();
-                        }
-                        let Some(active) = client.as_mut() else {
-                            outcome.errors += 1;
-                            backoff.sleep();
-                            continue;
-                        };
-                        let (_, text) = &spec.nets[(conn_index + i) % spec.nets.len()];
-                        let sent = Instant::now();
-                        match active.request("POST", &spec.target, text.as_bytes()) {
-                            Ok(response) => {
-                                backoff.reset();
-                                outcome
-                                    .latencies_us
-                                    .push(sent.elapsed().as_secs_f64() * 1e6);
-                                match response.status {
-                                    200 => outcome.ok += 1,
-                                    503 => outcome.rejected += 1,
-                                    _ => outcome.errors += 1,
-                                }
-                                // Honour the server's close (shed connections always
-                                // carry `Connection: close`): reusing the socket would
-                                // fail the next request and masquerade as an error.
-                                if response
-                                    .header("connection")
-                                    .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-                                {
-                                    client = None;
-                                }
-                            }
-                            Err(_) => {
-                                outcome.errors += 1;
-                                client = None; // reconnect on the next request
-                                backoff.sleep();
-                            }
-                        }
-                    }
-                    outcome
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load connection thread panicked"))
-            .collect()
-    });
-
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let (hits_after, misses_after) = cache_counters(addr, spec.timeout)?;
-    let mut latencies: Vec<f64> = outcomes
-        .iter()
-        .flat_map(|o| o.latencies_us.iter().copied())
-        .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let completed = latencies.len();
-    Ok(LoadReport {
-        requests: spec.connections * spec.requests_per_connection,
-        ok: outcomes.iter().map(|o| o.ok).sum(),
-        rejected: outcomes.iter().map(|o| o.rejected).sum(),
-        errors: outcomes.iter().map(|o| o.errors).sum(),
-        p50_us: quantile(&latencies, 0.50),
-        p95_us: quantile(&latencies, 0.95),
-        max_us: latencies.last().copied().unwrap_or(0.0),
-        wall_ms,
-        throughput_rps: if wall_ms > 0.0 {
-            completed as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-        cache_hits: hits_after.saturating_sub(hits_before),
-        cache_misses: misses_after.saturating_sub(misses_before),
-    })
-}
-
 /// What the non-blocking fanout generator replays.
 ///
-/// Unlike [`LoadSpec`] (one thread per connection), a fanout run drives every
-/// connection from **one** thread over epoll, so the generator itself can hold 10k+
-/// sockets open — enough to exercise the reactor's headline number from a single
-/// process. `idle_connections` spectator sockets are opened first and held silent for
-/// the whole run, measuring how flat the active connections' latency stays while the
-/// daemon carries them.
+/// A fanout run drives every connection from **one** thread over epoll, so the
+/// generator itself can hold 10k+ sockets open — enough to exercise the reactor's
+/// headline number from a single process. `idle_connections` spectator sockets are
+/// opened first and held silent for the whole run, measuring how flat the active
+/// connections' latency stays while the daemon carries them.
 #[derive(Debug, Clone)]
 pub struct FanoutSpec {
     /// Actively requesting connections.
@@ -955,23 +755,5 @@ mod tests {
         assert_ne!(schedule_a, schedule_c);
         a.reset();
         assert!(a.next_delay() <= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn hit_rate_handles_zero_traffic() {
-        let report = LoadReport {
-            requests: 0,
-            ok: 0,
-            rejected: 0,
-            errors: 0,
-            p50_us: 0.0,
-            p95_us: 0.0,
-            max_us: 0.0,
-            wall_ms: 0.0,
-            throughput_rps: 0.0,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        assert_eq!(report.cache_hit_rate(), 0.0);
     }
 }

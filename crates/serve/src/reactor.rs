@@ -205,8 +205,6 @@ struct Job {
     slot: usize,
     generation: u64,
     request: Request,
-    /// Tenant bucket [`Core::run`] releases when the request finishes.
-    tenant: String,
 }
 
 /// A finished response on its way back to the reactor.
@@ -435,7 +433,7 @@ impl ReactorHandle {
 /// response back to the reactor.
 fn worker_loop(shared: &ReactorShared) {
     while let Some(job) = shared.queue.pop(&shared.core) {
-        let response = shared.core.run(&job.request, &job.tenant);
+        let response = shared.core.run(&job.request);
         shared.push_completion(Completion {
             slot: job.slot,
             generation: job.generation,
@@ -831,11 +829,7 @@ impl Reactor<'_> {
                     self.refresh_read_deadline(slot);
                     return;
                 }
-                Err(HttpError::Disconnected) => {
-                    self.close_conn(slot);
-                    return;
-                }
-                Err(HttpError::Malformed { status, message }) => {
+                Err(HttpError { status, message }) => {
                     let response = core.malformed(status, &message);
                     self.start_write(slot, &response, true);
                     return;
@@ -849,12 +843,11 @@ impl Reactor<'_> {
                     let close = core.closes_after(request.wants_close(), conn.served);
                     (response, close)
                 }
-                Admitted::Run { tenant } => {
+                Admitted::Run => {
                     let job = Job {
                         slot,
                         generation: conn.generation,
                         request,
-                        tenant,
                     };
                     match shared.queue.try_push(job) {
                         Ok(()) => {
@@ -865,7 +858,7 @@ impl Reactor<'_> {
                         }
                         Err(job) => {
                             // Global overload: the dispatch queue is full.
-                            core.tenants.release(&job.tenant);
+                            core.tenants.release(Core::tenant_key(&job.request));
                             core.count_shed();
                             (Core::overload_response(), true)
                         }

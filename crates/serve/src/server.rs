@@ -8,7 +8,7 @@
 //!
 //! 1. [`Core::admit`] counts a parsed request and either answers it at once (the
 //!    `/healthz` and `/metrics` probes, a tenant's `429`) or admits it under its
-//!    tenant;
+//!    tenant, whose key [`Core::tenant_key`] derives from the request;
 //! 2. [`Core::run`] runs an admitted request on a worker: the `in_flight` gauge, the
 //!    API handlers behind a panic shield, the tenant release, the status count and the
 //!    `X-Fcpn-Elapsed-Us` header (answered-at-once requests get the last two as well);
@@ -16,7 +16,8 @@
 //! 4. [`Core::count_shed`] counts a connection or request shed for saturation or
 //!    drain, and [`Core::malformed`] answers bytes that did not parse as a request.
 //!
-//! The front ends differ only in how sockets reach that protocol:
+//! Both parse requests with the one [`IncrementalParser`], one per connection. The
+//! front ends differ only in how sockets reach that protocol:
 //!
 //! - **Reactor** (`config.reactor`, the default on Linux): a single epoll thread
 //!   drives non-blocking per-connection state machines, answers probes and refusals
@@ -26,7 +27,8 @@
 //! - **Threaded** (the fallback, and the only option off Linux): one accept thread
 //!   owns the [`TcpListener`]; accepted connections are pushed into a bounded FIFO
 //!   guarded by a mutex + condvar, and a fixed pool of worker threads pops
-//!   connections and serves them request-by-request with blocking reads.
+//!   connections and serves them request-by-request, feeding blocking reads into the
+//!   connection's parser.
 //!
 //! **Backpressure is immediate and explicit** on both paths: past the bounded
 //! queue (connections for the threaded path, parsed requests for the reactor) the
@@ -43,11 +45,11 @@
 
 use crate::cache::ResultCache;
 use crate::handlers::{self, HandlerCtx, MemGovernor, RequestLimits};
-use crate::http::{self, HttpError, HttpLimits, Request, Response};
+use crate::http::{self, HttpError, HttpLimits, IncrementalParser, Request, Response};
 use crate::metrics::{Metrics, RuntimeStats};
 use crate::tenant::{Admission, TenantGovernor, TenantPolicy};
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,11 +175,8 @@ pub(crate) struct Core {
 pub(crate) enum Admitted {
     /// Answered already (a probe, or a tenant's `429`), counted and stamped: write it.
     Answer(Response),
-    /// Admitted: hand the request to [`Core::run`] with this tenant's bucket key.
-    Run {
-        /// Bucket key [`Core::run`] releases once the request finishes.
-        tenant: String,
-    },
+    /// Admitted under its tenant: hand the request to [`Core::run`].
+    Run,
 }
 
 impl Core {
@@ -270,37 +269,37 @@ impl Core {
                     tenants: self.tenants.render_json(),
                 }),
             ),
-            _ => {
-                let tenant = TenantGovernor::tenant_key(request.header("x-fcpn-tenant"));
-                match self.tenants.admit(tenant) {
-                    Admission::Admitted => {
-                        return Admitted::Run {
-                            tenant: tenant.to_string(),
-                        }
-                    }
-                    Admission::RateLimited { retry_after_s } => {
-                        self.metrics
-                            .rejected_rate_limited
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response::error(429, "tenant rate limit exceeded; retry later")
-                            .with_header("Retry-After", &retry_after_s.to_string())
-                    }
-                    Admission::QuotaExceeded => {
-                        self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                        Response::error(429, "tenant in-flight quota exceeded; retry later")
-                            .with_header("Retry-After", "1")
-                    }
+            _ => match self.tenants.admit(Core::tenant_key(request)) {
+                Admission::Admitted => return Admitted::Run,
+                Admission::RateLimited { retry_after_s } => {
+                    self.metrics
+                        .rejected_rate_limited
+                        .fetch_add(1, Ordering::Relaxed);
+                    Response::error(429, "tenant rate limit exceeded; retry later")
+                        .with_header("Retry-After", &retry_after_s.to_string())
                 }
-            }
+                Admission::QuotaExceeded => {
+                    self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
+                    Response::error(429, "tenant in-flight quota exceeded; retry later")
+                        .with_header("Retry-After", "1")
+                }
+            },
         };
         Admitted::Answer(self.finish(answer, started))
+    }
+
+    /// The tenant bucket `request` is metered under: its normalised `X-Fcpn-Tenant`
+    /// header. [`Core::admit`] charges this bucket, and whoever finishes or sheds the
+    /// admitted request releases it.
+    pub(crate) fn tenant_key(request: &Request) -> &str {
+        TenantGovernor::tenant_key(request.header("x-fcpn-tenant"))
     }
 
     /// Runs an admitted request on the calling worker: the `in_flight` gauge, the API
     /// handlers, the tenant release, the status count and `X-Fcpn-Elapsed-Us`. Handler
     /// panics (there should be none: the pipeline returns typed errors — but the daemon
     /// must outlive a bug) become `500`s.
-    pub(crate) fn run(&self, request: &Request, tenant: &str) -> Response {
+    pub(crate) fn run(&self, request: &Request) -> Response {
         let started = Instant::now();
         self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let ctx = HandlerCtx {
@@ -314,7 +313,7 @@ impl Core {
         }))
         .unwrap_or_else(|_| Response::error(500, "internal error while handling the request"));
         self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.tenants.release(tenant);
+        self.tenants.release(Core::tenant_key(request));
         self.finish(response, started)
     }
 
@@ -610,33 +609,33 @@ fn worker_loop(shared: &ThreadedShared) {
     }
 }
 
-fn serve_connection(stream: TcpStream, shared: &ThreadedShared) {
+fn serve_connection(mut stream: TcpStream, shared: &ThreadedShared) {
     let core = &shared.core;
     let _ = stream.set_read_timeout(Some(core.config.read_timeout));
     let _ = stream.set_write_timeout(Some(core.config.write_timeout));
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
+    let mut parser = IncrementalParser::new(core.config.http);
     for served in 0.. {
         if core.shutting_down() {
             return;
         }
         let deadline = Instant::now() + core.config.request_read_deadline;
-        let request = match http::read_request(&mut reader, &core.config.http, Some(deadline)) {
+        let request = match parser.next_request(&mut stream, deadline) {
             Ok(Some(request)) => request,
-            Ok(None) | Err(HttpError::Disconnected) => return,
-            Err(HttpError::Malformed { status, message }) => {
+            Ok(None) => return,
+            Err(HttpError { status, message }) => {
                 let response = core.malformed(status, &message);
-                let _ = http::write_response(reader.get_mut(), &response, true);
+                let _ = http::write_response(&mut stream, &response, true);
                 return;
             }
         };
         let response = match core.admit(&request, || shared.lock_queue().len()) {
             Admitted::Answer(response) => response,
-            Admitted::Run { tenant } => core.run(&request, &tenant),
+            Admitted::Run => core.run(&request),
         };
         let close = core.closes_after(request.wants_close(), served);
         let write_deadline = Instant::now() + core.config.response_write_deadline;
-        if http::write_response_deadline(reader.get_mut(), &response, close, Some(write_deadline))
+        if http::write_response_deadline(&mut stream, &response, close, Some(write_deadline))
             .is_err()
             || close
         {

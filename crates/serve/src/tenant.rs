@@ -124,14 +124,18 @@ impl TenantGovernor {
     /// Decides whether a request from `tenant` may proceed right now.
     ///
     /// Counters are updated either way. When metering is disabled this always admits
-    /// (and no `release` pairing is required, though calling it stays harmless).
+    /// (and no `release` pairing is required, though calling it stays harmless). It
+    /// allocates only to insert a new bucket (its key).
     pub fn admit(&self, tenant: &str) -> Admission {
         let now = Instant::now();
         let mut buckets = self.buckets.lock().unwrap();
-        if !buckets.contains_key(tenant) && buckets.len() >= self.policy.max_tenants {
+        if let Some(bucket) = buckets.get_mut(tenant) {
+            return self.charge(bucket, now);
+        }
+        if buckets.len() >= self.policy.max_tenants {
             evict_stalest(&mut buckets);
         }
-        let bucket = buckets.entry(tenant.to_string()).or_insert_with(|| Bucket {
+        let bucket = buckets.entry(tenant.to_string()).or_insert(Bucket {
             tokens: self.policy.burst,
             refilled: now,
             in_flight: 0,
@@ -139,6 +143,11 @@ impl TenantGovernor {
             rejected: 0,
             last_seen: now,
         });
+        self.charge(bucket, now)
+    }
+
+    /// [`TenantGovernor::admit`]'s decision for one bucket.
+    fn charge(&self, bucket: &mut Bucket, now: Instant) -> Admission {
         bucket.last_seen = now;
 
         if !self.policy.metering() {

@@ -4,15 +4,15 @@
 //! Every behavioural test runs against **both** front ends — the blocking
 //! thread-per-connection path and (on Linux) the epoll reactor — via
 //! [`for_each_front_end`]: the wire contract must not depend on which one is serving.
-//! Reactor-only mechanics (idle timeouts, the connection gauge, pipelining, fanout)
-//! get their own `#[cfg(target_os = "linux")]` tests at the bottom.
+//! Reactor-only mechanics (idle timeouts, the connection gauge, accept-time shedding,
+//! fanout) get their own `#[cfg(target_os = "linux")]` tests at the bottom.
 
 use fcpn_petri::io::to_text;
 use fcpn_petri::{gallery, PetriNet};
 use fcpn_qss::{quasi_static_schedule, QssOptions};
 use fcpn_serve::{
-    handlers, schedule_response_body, Client, HandlerCtx, LoadSpec, Metrics, Request,
-    RequestLimits, ResultCache, Server, ServerConfig, ServerHandle,
+    handlers, schedule_response_body, Client, HandlerCtx, Metrics, Request, RequestLimits,
+    ResultCache, Server, ServerConfig, ServerHandle,
 };
 use std::time::Duration;
 
@@ -36,6 +36,15 @@ fn client(handle: &ServerHandle) -> Client {
     Client::connect(&handle.addr().to_string(), Duration::from_secs(30)).expect("client connects")
 }
 
+fn metrics_u64(c: &mut Client, key: &str) -> u64 {
+    let metrics = c.request("GET", "/metrics", b"").expect("metrics");
+    fcpn_serve::json::parse(&metrics.body)
+        .expect("metrics is valid JSON")
+        .get(key)
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("metrics key `{key}` missing"))
+}
+
 fn expected_schedule_body(net: &PetriNet) -> String {
     schedule_response_body(
         net,
@@ -47,7 +56,8 @@ fn expected_schedule_body(net: &PetriNet) -> String {
 fn serves_64_concurrent_schedule_requests_bit_identical_to_library() {
     // 16 workers + a 64-deep queue: 64 concurrent one-shot connections all fit in
     // flight, so none may be rejected and every body must equal the library's answer —
-    // on the gallery nets and on the ATM case study, on both front ends.
+    // on the gallery nets and on the ATM case study, on both front ends. `/metrics`
+    // accounts for every request: one miss per distinct net, then one hit per request.
     let atm = fcpn_atm::AtmModel::build(fcpn_atm::AtmConfig::small()).expect("atm model builds");
     let nets: Vec<PetriNet> = vec![
         gallery::figure3a(),
@@ -105,6 +115,17 @@ fn serves_64_concurrent_schedule_requests_bit_identical_to_library() {
                 });
             }
         });
+        let mut probe = client(&handle);
+        assert_eq!(
+            metrics_u64(&mut probe, "cache_misses"),
+            texts.len() as u64,
+            "reactor={reactor}"
+        );
+        assert_eq!(
+            metrics_u64(&mut probe, "cache_hits"),
+            64,
+            "reactor={reactor}"
+        );
         handle.shutdown();
     });
 }
@@ -202,46 +223,6 @@ fn keep_alive_connection_serves_many_requests_with_cache_hits() {
             dispositions[1..].iter().all(|d| d == "hit"),
             "repeat queries must hit the cache (reactor={reactor}): {dispositions:?}"
         );
-        handle.shutdown();
-    });
-}
-
-#[test]
-fn load_generator_reports_latencies_and_hit_rate() {
-    for_each_front_end(|reactor| {
-        let handle = spawn_on(
-            reactor,
-            ServerConfig {
-                workers: 4,
-                ..ServerConfig::default()
-            },
-        );
-        let spec = LoadSpec {
-            connections: 8,
-            requests_per_connection: 8,
-            target: "/schedule".into(),
-            nets: vec![
-                ("figure3a".into(), to_text(&gallery::figure3a())),
-                ("figure5".into(), to_text(&gallery::figure5())),
-            ],
-            timeout: Duration::from_secs(30),
-        };
-        let report = fcpn_serve::load::run_load(&handle.addr().to_string(), &spec)
-            .expect("load run completes");
-        assert_eq!(report.requests, 64);
-        assert_eq!(
-            report.ok, 64,
-            "errors={} rejected={} (reactor={reactor})",
-            report.errors, report.rejected
-        );
-        assert!(report.p50_us > 0.0 && report.p95_us >= report.p50_us);
-        // 64 requests over 2 distinct (net, options) keys: at least one miss per key,
-        // but concurrent cold requests on the same key may each miss before the first
-        // insert lands, so the split is a range, not an exact count.
-        assert_eq!(report.cache_hits + report.cache_misses, 64);
-        assert!(report.cache_misses >= 2, "misses {}", report.cache_misses);
-        assert!(report.cache_hits >= 32, "hits {}", report.cache_hits);
-        assert!(report.cache_hit_rate() >= 0.5);
         handle.shutdown();
     });
 }
@@ -948,6 +929,56 @@ fn per_request_bookkeeping_is_identical_on_both_front_ends() {
     );
 }
 
+#[test]
+fn pipelined_requests_in_one_write_are_all_answered() {
+    // Two probes around a `POST /schedule` with a body, all in a single write: each
+    // front end's parser buffers the bytes past one request and must answer every
+    // request in order without waiting for more socket readability.
+    use std::io::{Read, Write};
+    let net = gallery::figure4();
+    let expected = expected_schedule_body(&net);
+    let text = to_text(&net);
+    for_each_front_end(|reactor| {
+        let handle = spawn_on(reactor, ServerConfig::default());
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let probe = "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        let schedule = format!(
+            "POST /schedule HTTP/1.1\r\nContent-Length: {}\r\n\r\n{text}",
+            text.len()
+        );
+        stream
+            .write_all(format!("{probe}{schedule}{probe}").as_bytes())
+            .unwrap();
+        stream.flush().unwrap();
+        // The last response is the second probe's, so its body ends the stream.
+        let ok = "{\"status\":\"ok\"}";
+        let mut seen = String::new();
+        let mut buf = [0u8; 4096];
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while seen.matches("HTTP/1.1 200 OK").count() < 3 || !seen.ends_with(ok) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "pipelined responses incomplete (reactor={reactor}): {seen:?}"
+            );
+            let n = stream.read(&mut buf).expect("read pipelined responses");
+            assert!(
+                n > 0,
+                "server closed before answering all pipelined requests (reactor={reactor})"
+            );
+            seen.push_str(&String::from_utf8_lossy(&buf[..n]));
+        }
+        let first_probe = seen.find(ok).expect("first probe answered");
+        assert!(
+            seen[first_probe..].contains(&expected),
+            "schedule body missing or out of order (reactor={reactor}): {seen:?}"
+        );
+        handle.shutdown();
+    });
+}
+
 // ——— Reactor-only mechanics ————————————————————————————————————————————————
 
 #[cfg(target_os = "linux")]
@@ -955,15 +986,6 @@ mod reactor_only {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
-
-    fn metrics_u64(c: &mut Client, key: &str) -> u64 {
-        let metrics = c.request("GET", "/metrics", b"").expect("metrics");
-        fcpn_serve::json::parse(&metrics.body)
-            .expect("metrics is valid JSON")
-            .get(key)
-            .and_then(|v| v.as_u64())
-            .unwrap_or_else(|| panic!("metrics key `{key}` missing"))
-    }
 
     #[test]
     fn idle_connection_is_disconnected_at_the_idle_timeout() {
@@ -1028,39 +1050,6 @@ mod reactor_only {
                 "open_connections stuck at {open}, mid-body slot never freed"
             );
             std::thread::sleep(Duration::from_millis(50));
-        }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn pipelined_requests_in_one_write_are_all_answered() {
-        let handle = spawn_on(true, ServerConfig::default());
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        // Three healthz requests in a single write: the parser buffers them all in
-        // userspace, so the reactor must answer every one without waiting for more
-        // socket readability.
-        let one = "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
-        stream
-            .write_all(format!("{one}{one}{one}").as_bytes())
-            .unwrap();
-        stream.flush().unwrap();
-        let mut seen = String::new();
-        let mut buf = [0u8; 4096];
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while seen.matches("HTTP/1.1 200 OK").count() < 3 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "pipelined responses incomplete: {seen:?}"
-            );
-            let n = stream.read(&mut buf).expect("read pipelined responses");
-            assert!(
-                n > 0,
-                "server closed before answering all pipelined requests"
-            );
-            seen.push_str(&String::from_utf8_lossy(&buf[..n]));
         }
         handle.shutdown();
     }
