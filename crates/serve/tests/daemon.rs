@@ -126,6 +126,54 @@ fn serves_64_concurrent_schedule_requests_bit_identical_to_library() {
             64,
             "reactor={reactor}"
         );
+        drop(probe);
+        handle.shutdown();
+    });
+}
+
+// The fanout generator drives its connections over epoll, so this runs on Linux only.
+#[cfg(target_os = "linux")]
+#[test]
+fn load_generator_reports_latencies_and_hit_rate() {
+    for_each_front_end(|reactor| {
+        let handle = spawn_on(
+            reactor,
+            ServerConfig {
+                workers: 4,
+                ..ServerConfig::default()
+            },
+        );
+        let spec = fcpn_serve::FanoutSpec {
+            connections: 8,
+            idle_connections: 0,
+            requests_per_connection: 8,
+            target: "/schedule".into(),
+            nets: vec![
+                ("figure3a".into(), to_text(&gallery::figure3a())),
+                ("figure5".into(), to_text(&gallery::figure5())),
+            ],
+            tenants: Vec::new(),
+            deadline: Duration::from_secs(30),
+        };
+        let report = fcpn_serve::load::run_fanout(&handle.addr().to_string(), &spec)
+            .expect("load run completes");
+        assert_eq!(report.requests, 64);
+        assert_eq!(
+            report.ok, 64,
+            "errors={} rejected={} rate_limited={} (reactor={reactor})",
+            report.errors, report.rejected, report.rate_limited
+        );
+        assert!(report.p50_us > 0.0 && report.p95_us >= report.p50_us);
+        // 64 requests over 2 distinct (net, options) keys: at least one miss per key,
+        // but concurrent cold requests on the same key may each miss before the first
+        // insert lands, so the split is a range, not an exact count.
+        let mut probe = client(&handle);
+        let hits = metrics_u64(&mut probe, "cache_hits");
+        let misses = metrics_u64(&mut probe, "cache_misses");
+        assert_eq!(hits + misses, 64, "reactor={reactor}");
+        assert!(misses >= 2, "misses {misses} (reactor={reactor})");
+        assert!(hits >= 32, "hits {hits} (reactor={reactor})");
+        drop(probe);
         handle.shutdown();
     });
 }
