@@ -4,8 +4,8 @@
 //! reductions, 128-bit streamed component fingerprints and the sparse fraction-free
 //! Farkas elimination; `quasi_static_schedule_naive` is the seed path (counting-order
 //! enumeration, per-call `BTreeSet` reductions, `Vec<u64>` cache keys, dense Farkas).
-//! Both outcomes are asserted bit-for-bit identical — including at 2 and 4 sweep
-//! threads — before anything is timed.
+//! Both outcomes are asserted bit-for-bit identical, cached and uncached, before
+//! anything is timed.
 //!
 //! The uncached rows disable the component cache, so every allocation pays the full
 //! reduction + invariant analysis + cycle simulation: that is the configuration that
@@ -20,10 +20,9 @@ use fcpn_qss::{
     AllocationOptions, QssOptions, ReductionWorkspace, TReduction,
 };
 
-fn options(reuse_component_cache: bool, threads: usize) -> QssOptions {
+fn options(reuse_component_cache: bool) -> QssOptions {
     QssOptions {
         reuse_component_cache,
-        threads,
         ..QssOptions::default()
     }
 }
@@ -31,41 +30,30 @@ fn options(reuse_component_cache: bool, threads: usize) -> QssOptions {
 fn bench_end_to_end(c: &mut Criterion) {
     let net = gallery::choice_chain(10);
     // Equivalence gate across the whole configuration matrix before timing.
-    let reference = quasi_static_schedule_naive(&net, &options(false, 1)).expect("fc");
-    for threads in [1usize, 2, 4] {
-        for cache in [true, false] {
-            let outcome = quasi_static_schedule(&net, &options(cache, threads)).expect("fc");
-            assert_eq!(reference, outcome, "threads={threads} cache={cache}");
-        }
+    let reference = quasi_static_schedule_naive(&net, &options(false)).expect("fc");
+    for cache in [true, false] {
+        let outcome = quasi_static_schedule(&net, &options(cache)).expect("fc");
+        assert_eq!(reference, outcome, "cache={cache}");
     }
     assert_eq!(
         reference,
-        quasi_static_schedule_naive(&net, &options(true, 1)).expect("fc")
+        quasi_static_schedule_naive(&net, &options(true)).expect("fc")
     );
 
     let mut group = c.benchmark_group("qss_pipeline/choice_chain(10)");
     group.sample_size(10);
     group.bench_function("naive_uncached", |b| {
-        b.iter(|| quasi_static_schedule_naive(&net, &options(false, 1)).expect("fc"))
+        b.iter(|| quasi_static_schedule_naive(&net, &options(false)).expect("fc"))
     });
     group.bench_function("fast_uncached", |b| {
-        b.iter(|| quasi_static_schedule(&net, &options(false, 1)).expect("fc"))
+        b.iter(|| quasi_static_schedule(&net, &options(false)).expect("fc"))
     });
     group.bench_function("naive_cached", |b| {
-        b.iter(|| quasi_static_schedule_naive(&net, &options(true, 1)).expect("fc"))
+        b.iter(|| quasi_static_schedule_naive(&net, &options(true)).expect("fc"))
     });
     group.bench_function("fast_cached", |b| {
-        b.iter(|| quasi_static_schedule(&net, &options(true, 1)).expect("fc"))
+        b.iter(|| quasi_static_schedule(&net, &options(true)).expect("fc"))
     });
-    for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("fast_cached_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| quasi_static_schedule(&net, &options(true, threads)).expect("fc"))
-            },
-        );
-    }
     group.finish();
 }
 

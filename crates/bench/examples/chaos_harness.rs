@@ -14,7 +14,7 @@
 //!
 //! Runs, in order (daemons run in **reactor** mode wherever it exists):
 //!
-//! 1. **cancellation-latency** — `/schedule?deadline_ms=1&cache=0&threads=1` on
+//! 1. **cancellation-latency** — `/schedule?deadline_ms=1&cache=0` on
 //!    `choice_chain(12)` (4096 allocations, far beyond 1ms) must answer `503` within
 //!    50ms of the deadline, and `/metrics` must show `cancelled_in_stage >= 1`.
 //! 2. **slow-loris / disconnect** — a dripping client and a mid-body hangup, after
@@ -153,7 +153,7 @@ fn connection_flood(binary: &str, flood: usize) -> Result<(), String> {
     let warm = fetch(
         &addr,
         "POST",
-        "/schedule?threads=1",
+        "/schedule",
         net_text.as_bytes(),
         Duration::from_secs(10),
     )
@@ -322,7 +322,7 @@ fn sigterm_drain(binary: &str) -> Result<(), String> {
         fetch(
             &addr,
             "POST",
-            "/schedule?cache=0&threads=1",
+            "/schedule?cache=0",
             to_text(&gallery::choice_chain(13)).as_bytes(),
             Duration::from_secs(30),
         )

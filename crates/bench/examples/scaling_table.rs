@@ -11,6 +11,10 @@
 //! Without `--out` the JSON goes to stdout. `FCPN_BENCH_SAMPLES` controls the number of
 //! interleaved measurement rounds per case (default 9).
 //!
+//! Schema v9 drops the scheduler's `threads` rows and the explore engine rows'
+//! constant `"threads": 1`: the scheduler's allocation sweep and the explorer both run
+//! on the calling thread. `host_cores` stays, to say what host the rows were taken on.
+//!
 //! Schema v8 drops the `server` section that v5 added: the repository benchmark
 //! (`perfbench/`, declared in `BENCHMARK.json`) measures the daemon end to end and
 //! layer by layer, so this file no longer carries a second daemon load benchmark.
@@ -26,19 +30,19 @@
 //! stream through both and recording sustained events/sec (see
 //! `fcpn_bench::pump_interpreter` / `pump_compiled` and the `codegen_exec` bench).
 //!
-//! Schema v4: every explore case records one row per engine configuration —
-//! `(threads, token_width)` — alongside the retained naive and sequential-`u64`
-//! baselines; the QSS sweep records the component-cache wall time against the uncached
-//! path; the `firing_session` rows time the [`FiringSession`] trace fast path against
-//! the seed token game; the `table1` section records the ATM functional-baseline
-//! simulation (and the full Table I harness) on both paths; and the `scheduler` section
-//! holds the zero-allocation scheduling pipeline (gray-code sweep + workspace
-//! reductions + fingerprint cache + sparse fraction-free Farkas) against the retained
-//! seed pipeline — end to end (cached, uncached, 2/4 threads) and per layer (the
-//! reduction sweep and the Farkas elimination in isolation). Speedups are measured with
-//! **interleaved rounds** — each round times every configuration back to back, and the
-//! recorded speedup is the median of the per-round ratios. On a machine with background
-//! load this is far more stable than comparing two independently taken medians.
+//! Schema v4: every explore case records one row per engine configuration (token width)
+//! alongside the retained naive and sequential-`u64` baselines; the QSS sweep records
+//! the component-cache wall time against the uncached path; the `firing_session` rows
+//! time the [`FiringSession`] trace fast path against the seed token game; the `table1`
+//! section records the ATM functional-baseline simulation (and the full Table I
+//! harness) on both paths; and the `scheduler` section holds the zero-allocation
+//! scheduling pipeline (gray-code sweep + workspace reductions + fingerprint cache +
+//! sparse fraction-free Farkas) against the retained seed pipeline — end to end
+//! (cached, uncached) and per layer (the reduction sweep and the Farkas elimination in
+//! isolation). Speedups are measured with **interleaved rounds** — each round times
+//! every configuration back to back, and the recorded speedup is the median of the
+//! per-round ratios. On a machine with background load this is far more stable than
+//! comparing two independently taken medians.
 //!
 //! [`FiringSession`]: fcpn_petri::statespace::FiringSession
 
@@ -409,8 +413,6 @@ struct SchedulerRow {
     cached_naive_ms: f64,
     cached_fast_ms: f64,
     cached_speedup: f64,
-    /// Sharded sweep at 2/4 threads (cached), relative to the 1-thread fast path.
-    threads: Vec<(usize, f64, f64)>,
     /// Layer ablation: the reduction sweep alone (seed BTreeSets vs gray+workspace).
     reduce_naive_ms: f64,
     reduce_workspace_ms: f64,
@@ -423,22 +425,16 @@ struct SchedulerRow {
 }
 
 fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
-    let options = |cache: bool, threads: usize| QssOptions {
+    let options = |cache: bool| QssOptions {
         reuse_component_cache: cache,
-        threads,
         ..QssOptions::default()
     };
     // Equivalence gate before timing: the production pipeline must reproduce the seed
     // pipeline bit for bit in every measured configuration.
-    let reference = quasi_static_schedule_naive(net, &options(false, 1)).expect("fc input");
-    for threads in [1usize, 2, 4] {
-        for cache in [true, false] {
-            let outcome = quasi_static_schedule(net, &options(cache, threads)).expect("fc input");
-            assert_eq!(
-                reference, outcome,
-                "{label}: threads={threads} cache={cache}"
-            );
-        }
+    let reference = quasi_static_schedule_naive(net, &options(false)).expect("fc input");
+    for cache in [true, false] {
+        let outcome = quasi_static_schedule(net, &options(cache)).expect("fc input");
+        assert_eq!(reference, outcome, "{label}: cache={cache}");
     }
     let allocations = allocation_iter_gray(net, AllocationOptions::default())
         .expect("fc input")
@@ -458,7 +454,6 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
     let mut uncached_fast: Vec<f64> = Vec::new();
     let mut cached_naive: Vec<f64> = Vec::new();
     let mut cached_fast: Vec<f64> = Vec::new();
-    let mut threads_times: Vec<Vec<f64>> = vec![Vec::new(); 2];
     let mut reduce_naive: Vec<f64> = Vec::new();
     let mut reduce_workspace: Vec<f64> = Vec::new();
     let mut farkas_naive: Vec<f64> = Vec::new();
@@ -470,22 +465,17 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
     };
     for _ in 0..samples() {
         uncached_naive.push(time(&mut || {
-            black_box(quasi_static_schedule_naive(black_box(net), &options(false, 1)).unwrap());
+            black_box(quasi_static_schedule_naive(black_box(net), &options(false)).unwrap());
         }));
         uncached_fast.push(time(&mut || {
-            black_box(quasi_static_schedule(black_box(net), &options(false, 1)).unwrap());
+            black_box(quasi_static_schedule(black_box(net), &options(false)).unwrap());
         }));
         cached_naive.push(time(&mut || {
-            black_box(quasi_static_schedule_naive(black_box(net), &options(true, 1)).unwrap());
+            black_box(quasi_static_schedule_naive(black_box(net), &options(true)).unwrap());
         }));
         cached_fast.push(time(&mut || {
-            black_box(quasi_static_schedule(black_box(net), &options(true, 1)).unwrap());
+            black_box(quasi_static_schedule(black_box(net), &options(true)).unwrap());
         }));
-        for (i, threads) in [2usize, 4].into_iter().enumerate() {
-            threads_times[i].push(time(&mut || {
-                black_box(quasi_static_schedule(black_box(net), &options(true, threads)).unwrap());
-            }));
-        }
         reduce_naive.push(time(&mut || {
             for allocation in allocation_iter(net, AllocationOptions::default()).unwrap() {
                 black_box(TReduction::compute(net, allocation).unwrap());
@@ -519,17 +509,6 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
         cached_naive_ms: best(&cached_naive),
         cached_fast_ms: best(&cached_fast),
         cached_speedup: ratio(&cached_naive, &cached_fast),
-        threads: [2usize, 4]
-            .into_iter()
-            .enumerate()
-            .map(|(i, threads)| {
-                (
-                    threads,
-                    best(&threads_times[i]),
-                    ratio(&cached_fast, &threads_times[i]),
-                )
-            })
-            .collect(),
         reduce_naive_ms: best(&reduce_naive),
         reduce_workspace_ms: best(&reduce_workspace),
         reduce_speedup: ratio(&reduce_naive, &reduce_workspace),
@@ -772,12 +751,9 @@ fn main() {
         .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"fcpn-bench/statespace-v8\",\n");
+    json.push_str("  \"schema\": \"fcpn-bench/statespace-v9\",\n");
     json.push_str(&format!("  \"samples_per_case\": {},\n", samples()));
-    // Multi-threaded rows are only meaningful relative to this: with a single host
-    // core the sharded scheduler sweep serialises onto one CPU and pays pure
-    // coordination overhead, so its speedup reads < 1 regardless of implementation
-    // quality.
+    // Every row is single-threaded; the core count records the host they ran on.
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str("  \"explore\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -793,10 +769,9 @@ fn main() {
             row.naive_ms,
         ));
         json.push_str("     \"engine\": [\n");
-        // `threads` stays in the schema; exploration is single-threaded.
         for (j, engine) in row.engine.iter().enumerate() {
             json.push_str(&format!(
-                "       {{\"threads\": 1, \"token_width\": \"{}\", \"best_ms\": {:.3}, \
+                "       {{\"token_width\": \"{}\", \"best_ms\": {:.3}, \
                  \"speedup_vs_naive\": {:.2}, \"speedup_vs_seq_u64\": {:.2}}}{}\n",
                 engine.width,
                 engine.best_ms,
@@ -879,14 +854,6 @@ fn main() {
             "     \"cached\": {{\"naive_ms\": {:.3}, \"fast_ms\": {:.3}, \"speedup\": {:.2}}},\n",
             row.cached_naive_ms, row.cached_fast_ms, row.cached_speedup
         ));
-        json.push_str("     \"threads\": [");
-        for (j, &(threads, best_ms, speedup)) in row.threads.iter().enumerate() {
-            json.push_str(&format!(
-                "{{\"threads\": {threads}, \"best_ms\": {best_ms:.3}, \"speedup_vs_1\": {speedup:.2}}}{}",
-                if j + 1 < row.threads.len() { ", " } else { "" }
-            ));
-        }
-        json.push_str("],\n");
         json.push_str(&format!(
             "     \"layers\": {{\"reduce_naive_ms\": {:.3}, \"reduce_workspace_ms\": {:.3}, \
              \"reduce_speedup\": {:.2}, \"farkas_naive_ms\": {:.4}, \"farkas_sparse_ms\": {:.4}, \

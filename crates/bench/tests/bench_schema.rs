@@ -3,9 +3,9 @@
 //! The baseline is regenerated by hand (`scaling_table --out BENCH_statespace.json`)
 //! and consumed by humans and by the ROADMAP's perf narrative; a malformed or
 //! out-of-date regeneration should fail CI, not sit unnoticed. This test parses the
-//! committed file with the hand-rolled JSON parser and asserts the schema-v8
-//! invariants: the schema tag itself, `host_cores` (without which the threads rows are
-//! uninterpretable), the required keys of every section, and the `executor` section's
+//! committed file with the hand-rolled JSON parser and asserts the schema-v9
+//! invariants: the schema tag itself, `host_cores` (the host the rows were taken on),
+//! the required keys of every section, and the `executor` section's
 //! headline claim (the compiled runtime beats the interpreter by ≥2× on at least one
 //! net).
 
@@ -39,11 +39,11 @@ fn require_keys(value: &Json, keys: &[&str], context: &str) {
 }
 
 #[test]
-fn baseline_declares_schema_v8_and_host_cores() {
+fn baseline_declares_schema_v9_and_host_cores() {
     let baseline = baseline();
     assert_eq!(
         require(&baseline, "schema", "root").as_str(),
-        Some("fcpn-bench/statespace-v8"),
+        Some("fcpn-bench/statespace-v9"),
         "schema tag must match what scaling_table emits"
     );
     assert!(require(&baseline, "host_cores", "root").as_u64() >= Some(1));
@@ -117,7 +117,6 @@ fn explore_section_rows_are_complete() {
             require_keys(
                 config,
                 &[
-                    "threads",
                     "token_width",
                     "best_ms",
                     "speedup_vs_naive",
@@ -174,7 +173,7 @@ fn firing_session_table1_and_scheduler_sections_are_complete() {
         let net = require(row, "net", "scheduler row").as_str().unwrap();
         require_keys(
             row,
-            &["allocations", "uncached", "cached", "threads", "layers"],
+            &["allocations", "uncached", "cached", "layers"],
             &format!("scheduler[{net}]"),
         );
         for section in ["uncached", "cached"] {

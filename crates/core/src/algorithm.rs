@@ -1,14 +1,13 @@
 //! The top-level quasi-static scheduling algorithm (Section 3, Steps 1–3).
 //!
 //! The production sweep walks the allocation space in gray-code order on the
-//! zero-allocation pipeline (workspace reductions, fingerprint-keyed component cache)
-//! and, with [`QssOptions::threads`] > 1, shards contiguous gray ranges across worker
-//! threads; per-allocation results carry their seed (counting-order) rank and are merged
-//! back into that order, so the outcome — verdict, cycle order, diagnostics order — is
-//! bit-for-bit identical to the seed scheduler for **any** thread count. The seed
-//! pipeline itself (counting-order enumeration, fresh `BTreeSet` reductions, `Vec`-keyed
-//! cache, dense Farkas) is retained as [`quasi_static_schedule_naive`], the baseline the
-//! `qss_pipeline` benchmark and the equivalence suite measure against.
+//! zero-allocation pipeline (workspace reductions, fingerprint-keyed component cache),
+//! one sequential pass on the calling thread; per-allocation results carry their seed
+//! (counting-order) rank and are sorted back into that order, so the outcome — verdict,
+//! cycle order, diagnostics order — is bit-for-bit identical to the seed scheduler's.
+//! The seed pipeline itself (counting-order enumeration, fresh `BTreeSet` reductions,
+//! `Vec`-keyed cache, dense Farkas) is retained as [`quasi_static_schedule_naive`], the
+//! baseline the `qss_pipeline` benchmark and the equivalence suite measure against.
 
 use crate::{
     allocation_iter, allocation_iter_gray, check_component_naive_with, AllocationOptions,
@@ -30,25 +29,18 @@ pub struct QssOptions {
     /// The verdict is identical either way; disabling is only useful for benchmarking
     /// the cache itself.
     pub reuse_component_cache: bool,
-    /// Number of worker threads for the allocation sweep. With `threads > 1` the
-    /// gray-code allocation space is split into contiguous ranges, one per worker (each
-    /// with its own reduction workspace and component cache), and the per-allocation
-    /// results are merged back into seed order — the outcome is bit-for-bit identical
-    /// for any thread count. `0` and `1` both mean sequential.
-    pub threads: usize,
-    /// Cooperative cancellation: every sweep worker polls this token between
-    /// allocations and the whole sweep returns
-    /// [`QssError::Cancelled`](crate::QssError::Cancelled) when it fires. The default
-    /// ([`CancelToken::never`]) is free and never fires; an armed token that never
-    /// fires leaves the outcome bit-for-bit identical. The retained seed pipeline
+    /// Cooperative cancellation: the sweep polls this token between allocations and
+    /// returns [`QssError::Cancelled`](crate::QssError::Cancelled) when it fires. The
+    /// default ([`CancelToken::never`]) is free and never fires; an armed token that
+    /// never fires leaves the outcome bit-for-bit identical. The retained seed pipeline
     /// ([`quasi_static_schedule_naive`]) deliberately ignores it — it is the oracle the
     /// production sweep is measured against, not a service entry point.
     pub cancel: CancelToken,
     /// Byte budget for the sweep. The scheduler charges a canonical cost model — one
     /// net-sized workspace charge up front, then the retained per-allocation results in
-    /// seed (counting) order after the merge — so the same net under the same budget
-    /// fails with the same [`QssError::ResourceExhausted`](crate::QssError) for **any**
-    /// thread count; worker-local scratch (component caches, gray-range state) is
+    /// seed (counting) order after the sort — so the same net under the same budget
+    /// fails with the same [`QssError::ResourceExhausted`](crate::QssError) whatever
+    /// the gray sweep's order; sweep scratch (the component cache, the gray cursor) is
     /// bounded by the allocation limit and not charged. The default
     /// ([`MemoryBudget::unlimited`]) is free and never exhausts; an armed budget that
     /// never exhausts leaves the outcome bit-for-bit identical. The retained seed
@@ -61,7 +53,6 @@ impl Default for QssOptions {
         QssOptions {
             allocation: AllocationOptions::default(),
             reuse_component_cache: true,
-            threads: 1,
             cancel: CancelToken::never(),
             memory: MemoryBudget::unlimited(),
         }
@@ -167,58 +158,25 @@ pub fn quasi_static_schedule(net: &PetriNet, options: &QssOptions) -> Result<Qss
     // choices, and consecutive allocations differ in a single choice so the pipeline's
     // per-allocation state (loser tails, workspace flags) changes by a delta.
     let allocations = allocation_iter_gray(net, options.allocation)?;
-    let total = allocations.total();
     // One net-sized charge covers the reduction workspace and checker scratch (both
     // are O(transitions + places)); per-result charges follow in seed order below.
-    // Charging thread-count-invariant quantities only keeps exhaustion deterministic.
+    // Charging only quantities the sweep order cannot change keeps exhaustion
+    // deterministic.
     let mut meter = options.memory.meter();
     meter.charge(
         (net.transition_count() + net.place_count()) as u64 * 48,
         "schedule-workspace",
     )?;
-    let threads = options
-        .threads
-        .clamp(1, usize::MAX)
-        .min(total.max(1) as usize);
-    let mut results: Vec<(u128, SweepItem)> = if threads > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let start = total * w as u128 / threads as u128;
-                    let end = total * (w as u128 + 1) / threads as u128;
-                    let chunk = allocations.clone().range(start, end);
-                    scope.spawn(move || sweep_range(net, chunk, options))
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(total as usize);
-            let mut cancelled = false;
-            for handle in handles {
-                // Join every worker before reporting the cancellation — the scope must
-                // not be poisoned by an early return while threads still run.
-                match handle.join().expect("sweep worker panicked") {
-                    Ok(chunk) => merged.extend(chunk),
-                    Err(Cancelled) => cancelled = true,
-                }
-            }
-            if cancelled {
-                Err(Cancelled)
-            } else {
-                Ok(merged)
-            }
-        })
-    } else {
-        sweep_range(net, allocations, options)
-    }?;
-    // Merge back into the seed (counting) enumeration order: the public outcome is
-    // bit-for-bit the seed scheduler's regardless of sweep order or thread count.
+    let mut results = sweep(net, allocations, options)?;
+    // Sort back into the seed (counting) enumeration order: the public outcome is
+    // bit-for-bit the seed scheduler's regardless of the gray sweep order.
     results.sort_by_key(|&(rank, _)| rank);
     let components_examined = results.len();
     let mut cycles = Vec::new();
     let mut failures = Vec::new();
     for (_, item) in results {
-        // The retained result bytes, charged in seed order — identical for any thread
-        // count, so an exhausted budget fails at the same allocation with the same
-        // error whether the sweep was sequential or sharded.
+        // The retained result bytes, charged in seed order: an exhausted budget fails
+        // at the same allocation whatever order the gray sweep visited them in.
         let item_bytes = match &item {
             SweepItem::Cycle(cycle) => (cycle.sequence.len() + cycle.counts.len()) * 8 + 64,
             SweepItem::Failure(diagnostic) => {
@@ -247,24 +205,24 @@ enum SweepItem {
     Failure(Box<ComponentDiagnostic>),
 }
 
-/// Sweeps one contiguous gray range of the allocation space on the zero-allocation
-/// pipeline: a reusable [`ReductionWorkspace`], a [`ComponentChecker`] and (when
-/// enabled) a range-local [`ComponentCache`].
+/// Sweeps the allocation space in gray order on the zero-allocation pipeline: a
+/// reusable [`ReductionWorkspace`], a [`ComponentChecker`] and (when enabled) a
+/// [`ComponentCache`].
 ///
 /// Polls `options.cancel` between allocations (a component check costs microseconds to
 /// milliseconds, so a small polling stride keeps the cancellation latency far below the
-/// service-level bound) and abandons the range with [`Cancelled`] when it fires.
-fn sweep_range(
+/// service-level bound) and abandons the sweep with [`Cancelled`] when it fires.
+fn sweep(
     net: &PetriNet,
-    range: GrayAllocationIter,
+    allocations: GrayAllocationIter,
     options: &QssOptions,
 ) -> Result<Vec<(u128, SweepItem)>, Cancelled> {
     let mut checker = ComponentChecker::new(net);
     let mut workspace = ReductionWorkspace::new();
     let mut cache = ComponentCache::default();
     let mut cancel_gate = CancelGate::new(16);
-    let mut out = Vec::with_capacity(range.remaining() as usize);
-    for (rank, allocation) in range {
+    let mut out = Vec::with_capacity(allocations.remaining() as usize);
+    for (rank, allocation) in allocations {
         cancel_gate.check(&options.cancel)?;
         if !options.reuse_component_cache {
             cache.clear();
@@ -425,35 +383,25 @@ mod tests {
         let net = gallery::choice_chain(6);
         let cancel = CancelToken::new();
         cancel.cancel();
-        for threads in [1usize, 2, 4] {
-            let options = QssOptions {
-                threads,
-                cancel: cancel.clone(),
-                ..QssOptions::default()
-            };
-            assert!(matches!(
-                quasi_static_schedule(&net, &options),
-                Err(QssError::Cancelled)
-            ));
-        }
+        let options = QssOptions {
+            cancel,
+            ..QssOptions::default()
+        };
+        assert!(matches!(
+            quasi_static_schedule(&net, &options),
+            Err(QssError::Cancelled)
+        ));
     }
 
     #[test]
     fn armed_but_never_firing_token_is_bit_identical() {
         let net = gallery::choice_chain(5);
         let baseline = quasi_static_schedule(&net, &QssOptions::default()).unwrap();
-        for threads in [1usize, 2, 4] {
-            let options = QssOptions {
-                threads,
-                cancel: CancelToken::new(),
-                ..QssOptions::default()
-            };
-            assert_eq!(
-                quasi_static_schedule(&net, &options).unwrap(),
-                baseline,
-                "threads={threads}"
-            );
-        }
+        let options = QssOptions {
+            cancel: CancelToken::new(),
+            ..QssOptions::default()
+        };
+        assert_eq!(quasi_static_schedule(&net, &options).unwrap(), baseline);
     }
 
     #[test]

@@ -271,10 +271,8 @@ impl Iterator for AllocationIter {
 /// pick moves by one position in the place's output list).
 ///
 /// The gray order is what makes the scheduling pipeline incremental: a one-choice delta
-/// invalidates only the loser-merge tails at and below the changed slot, keeps the
-/// workspace reduction's inputs maximally similar between steps, and lets a sharded
-/// sweep hand each worker a contiguous gray range positioned in O(choices) via
-/// [`GrayAllocationIter::range`].
+/// invalidates only the loser-merge tails at and below the changed slot and keeps the
+/// workspace reduction's inputs maximally similar between steps.
 ///
 /// Every item carries the allocation's **rank** — its index in the seed's counting
 /// (mixed-radix) enumeration, i.e. the position [`allocation_iter`] would yield it at —
@@ -295,8 +293,6 @@ pub struct GrayAllocationIter {
     tails: Vec<Vec<TransitionId>>,
     /// Gray-sequence position of the *next* item to yield.
     position: u128,
-    /// Exclusive end of the swept gray range.
-    end: u128,
     total: u128,
 }
 
@@ -323,7 +319,6 @@ impl GrayAllocationIter {
             choices,
             losers,
             position: 0,
-            end: total,
             total,
         };
         remerge_tails(&iter.losers, &iter.cursor, &mut iter.tails, slots);
@@ -335,29 +330,9 @@ impl GrayAllocationIter {
         self.total
     }
 
-    /// Allocations not yet yielded from this iterator's range.
+    /// Allocations not yet yielded.
     pub fn remaining(&self) -> u128 {
-        self.end - self.position
-    }
-
-    /// Restricts the stream to gray-sequence positions `start..end` (a contiguous chunk
-    /// of the sweep, used to shard the allocation space across workers). Positioning
-    /// costs O(choices · merge): the gray digits at `start` are computed directly from
-    /// the mixed-radix reflection formula, not by stepping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > total`.
-    pub fn range(mut self, start: u128, end: u128) -> GrayAllocationIter {
-        assert!(start <= end && end <= self.total, "invalid gray range");
-        self.position = start;
-        self.end = end;
-        if start < end {
-            gray_digits(&self.choices, start, &mut self.cursor);
-            let slots = self.choices.len();
-            remerge_tails(&self.losers, &self.cursor, &mut self.tails, slots);
-        }
-        self
+        self.total - self.position
     }
 
     /// The seed (counting-order) index of the allocation currently under the cursor:
@@ -396,7 +371,7 @@ impl Iterator for GrayAllocationIter {
     type Item = (u128, TAllocation);
 
     fn next(&mut self) -> Option<(u128, TAllocation)> {
-        if self.position >= self.end {
+        if self.position >= self.total {
             return None;
         }
         let rank = self.rank();
@@ -411,7 +386,7 @@ impl Iterator for GrayAllocationIter {
             excluded: self.tails[0].clone(),
         };
         self.position += 1;
-        if self.position < self.end {
+        if self.position < self.total {
             // Exactly one gray digit changes per step; re-merge the tails at and below
             // the changed slot only.
             gray_digits(&self.choices, self.position, &mut self.gray_next);
@@ -655,31 +630,6 @@ mod tests {
         for (i, (rank, allocation)) in by_rank.iter().enumerate() {
             assert_eq!(*rank, i as u128);
             assert_eq!(allocation, &counting[i]);
-        }
-    }
-
-    #[test]
-    fn gray_ranges_partition_the_sweep() {
-        // Chunked ranges concatenate to the full sweep for several worker counts,
-        // including ones that do not divide the total evenly.
-        let net = gallery::choice_chain(5);
-        let full: Vec<(u128, TAllocation)> =
-            allocation_iter_gray(&net, AllocationOptions::default())
-                .unwrap()
-                .collect();
-        for workers in [1u128, 2, 3, 4, 7] {
-            let total = full.len() as u128;
-            let mut stitched = Vec::new();
-            for w in 0..workers {
-                let start = total * w / workers;
-                let end = total * (w + 1) / workers;
-                let chunk = allocation_iter_gray(&net, AllocationOptions::default())
-                    .unwrap()
-                    .range(start, end);
-                assert_eq!(chunk.remaining(), end - start);
-                stitched.extend(chunk);
-            }
-            assert_eq!(stitched, full, "workers={workers}");
         }
     }
 

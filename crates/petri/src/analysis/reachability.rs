@@ -105,9 +105,9 @@ impl ReachabilityGraph {
         Self::from_statespace(StateSpace::explore_from(net, initial, options))
     }
 
-    /// [`ReachabilityGraph::explore`] with explicit engine configuration — thread count
-    /// and token-arena width ([`ExploreOptions`]). The resulting graph is canonical:
-    /// identical to the sequential default for every configuration.
+    /// [`ReachabilityGraph::explore`] with explicit engine configuration — token-arena
+    /// width and the cancellation and memory guards ([`ExploreOptions`]). The resulting
+    /// graph is canonical: identical to the default for every token width.
     pub fn explore_with(net: &PetriNet, options: &ExploreOptions) -> Self {
         Self::from_statespace(StateSpace::explore_with(net, options))
     }

@@ -24,7 +24,7 @@
 //!
 //! Determinism: charges the engines issue are pure functions of the canonical
 //! exploration (the cost model below), so the same net under the same budget fails at
-//! the same stage with the same error — any token width, any sweep thread count. An
+//! the same stage with the same error, whatever the token width. An
 //! armed budget that is never exhausted perturbs nothing: outputs are bit-for-bit
 //! identical to the unlimited default.
 

@@ -115,8 +115,8 @@ pub struct ExploreOptions {
     /// State budget and token cut-off (identical semantics to the naive explorer).
     pub reach: ReachabilityOptions,
     /// Ignored: exploration always runs on the calling thread, and every value yields
-    /// the space `threads: 1` yields, bit for bit. The field stays so that code which
-    /// sets it keeps compiling.
+    /// the space `threads: 1` yields, bit for bit. The field stays because the
+    /// repository benchmark (`perfbench/src/served.rs`) sets it.
     pub threads: usize,
     /// Token-arena width selection.
     pub width: TokenWidth,

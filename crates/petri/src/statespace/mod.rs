@@ -31,8 +31,8 @@
 //!
 //! Exploration is single-threaded. A hash-sharded parallel explorer ran 2–3× slower
 //! than this engine on every net benchmarked on 1- and 2-core hosts (ARCHITECTURE.md,
-//! "Why exploration is sequential"), so [`ExploreOptions::threads`] is accepted and
-//! ignored.
+//! "Why exploration and scheduling are sequential"), so [`ExploreOptions::threads`] is
+//! accepted and ignored.
 //!
 //! The exploration order and truncation semantics (state budget, per-place token
 //! cut-off) are **bit-for-bit identical** to the naive explorer for every token width:

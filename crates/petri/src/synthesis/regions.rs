@@ -359,10 +359,10 @@ pub(super) fn run(lts: &Lts, opts: &SynthesisOptions) -> Result<SynthesizedNet, 
                 max_markings: n + 1,
                 max_tokens_per_place: max_tok.max(1),
             },
-            threads: 1,
             width: TokenWidth::U64,
             cancel: cancel.clone(),
             memory: opts.memory.clone(),
+            ..ExploreOptions::default()
         };
         let space =
             StateSpace::try_explore_with(&net, &explore).map_err(SynthesisError::Interrupted)?;

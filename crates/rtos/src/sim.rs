@@ -5,7 +5,8 @@
 //! Table I:
 //!
 //! * [`simulate_program`] runs a quasi-statically scheduled [`fcpn_codegen::Program`]
-//!   (one task per independent-rate input);
+//!   (one task per independent-rate input) on the compiled executor;
+//!   [`simulate_program_with`] can run the interpreter oracle instead;
 //! * [`simulate_functional_partition`] runs a *functional task partitioning* baseline,
 //!   where every functional module of the specification is its own RTOS task and tokens
 //!   crossing module boundaries go through communication queues.
@@ -61,14 +62,16 @@ use fcpn_petri::{CancelToken, Marking, PetriNet, PlaceId, TransitionId};
 ///
 /// Both backends execute the same task IR with the same resolver protocol and produce
 /// bit-for-bit identical [`SimReport`]s (pinned by tests here and by the differential
-/// suite in `fcpn-codegen`); they differ only in speed.
+/// suite in `fcpn-codegen`); they differ only in speed. The compiled runtime is the
+/// default, so [`simulate_program`] runs it; the interpreter is the oracle it is
+/// pinned against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// The tree-walking [`Interpreter`] — the pinned oracle.
-    #[default]
     Interpreter,
     /// The flat-bytecode streaming runtime ([`CompiledProgram`] + [`ExecSession`]):
     /// jump-resolved code arrays over a dense counter pool, no allocation after setup.
+    #[default]
     Compiled,
 }
 
@@ -156,8 +159,8 @@ fn invocation_cycles(net: &PetriNet, cost: &CostModel, fired: &[TransitionId]) -
 }
 
 /// Like [`simulate_program`], but with an explicit choice of execution engine: the
-/// tree-walking interpreter oracle or the compiled streaming runtime. Both produce
-/// identical reports; [`ExecBackend::Compiled`] is the one to use for throughput.
+/// compiled streaming runtime (the default) or the tree-walking interpreter oracle.
+/// Both produce identical reports.
 ///
 /// # Errors
 ///
@@ -762,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_the_interpreter_oracle() {
+    fn default_backend_is_the_compiled_executor() {
         let net = gallery::figure4();
         let program = program_for(&net);
         let t1 = net.transition_by_name("t1").unwrap();
@@ -781,7 +784,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, explicit);
-        assert_eq!(ExecBackend::default(), ExecBackend::Interpreter);
+        assert_eq!(ExecBackend::default(), ExecBackend::Compiled);
     }
 
     #[test]

@@ -131,9 +131,7 @@ pub struct CancellationProbe {
 }
 
 /// Fires one uncached `/schedule` at `addr` with the given `deadline_ms` and measures
-/// how promptly the daemon answers — the cancellation-latency probe. `threads=1` keeps
-/// the sweep on one worker so the measured latency is the cooperative polling stride,
-/// not thread teardown.
+/// how promptly the daemon answers — the cancellation-latency probe.
 ///
 /// # Errors
 ///
@@ -148,7 +146,7 @@ pub fn probe_cancellation(
     let started = Instant::now();
     let response = client.request(
         "POST",
-        &format!("/schedule?deadline_ms={deadline_ms}&cache=0&threads=1"),
+        &format!("/schedule?deadline_ms={deadline_ms}&cache=0"),
         net_text.as_bytes(),
     )?;
     Ok(CancellationProbe {
@@ -263,7 +261,7 @@ pub fn probe_connection_flood(
     let parked = open_idle_sockets(addr, idle)?;
     let mut client = Client::connect(addr, timeout)?;
     let started = Instant::now();
-    let response = client.request("POST", "/schedule?threads=1", net_text.as_bytes())?;
+    let response = client.request("POST", "/schedule", net_text.as_bytes())?;
     let probe = FloodProbe {
         idle_held: parked.len(),
         status: response.status,
@@ -373,12 +371,8 @@ pub fn probe_rate_limit(
     let mut limited = 0usize;
     let mut retry_after_s = 0u64;
     for _ in 0..burst {
-        let response = client.request_with_headers(
-            "POST",
-            "/schedule?threads=1",
-            &headers,
-            net_text.as_bytes(),
-        )?;
+        let response =
+            client.request_with_headers("POST", "/schedule", &headers, net_text.as_bytes())?;
         match response.status {
             200 => ok += 1,
             429 => {
@@ -408,12 +402,8 @@ pub fn probe_rate_limit(
         // Wait out the advertised window (bounded — a daemon advertising an hour is
         // its own kind of bug) and confirm the tenant is served again.
         std::thread::sleep(Duration::from_secs(retry_after_s.clamp(1, 10)));
-        let response = client.request_with_headers(
-            "POST",
-            "/schedule?threads=1",
-            &headers,
-            net_text.as_bytes(),
-        )?;
+        let response =
+            client.request_with_headers("POST", "/schedule", &headers, net_text.as_bytes())?;
         recovered = response.status == 200;
     }
     Ok(RateLimitProbe {

@@ -68,8 +68,6 @@ use std::time::Duration;
 /// Server-side caps that per-request options are clamped against.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestLimits {
-    /// Largest per-request worker thread count (`threads` query parameter).
-    pub max_threads: usize,
     /// Cap on `max_markings` for reachability-based analyses.
     pub max_markings: usize,
     /// Cap on `max_tokens_per_place`.
@@ -95,7 +93,6 @@ pub struct RequestLimits {
 impl Default for RequestLimits {
     fn default() -> Self {
         RequestLimits {
-            max_threads: 4,
             max_markings: 200_000,
             max_tokens_per_place: 1024,
             max_coverability_nodes: 200_000,
@@ -540,7 +537,6 @@ fn synthesis(
 /// Effective per-request options after clamping against [`RequestLimits`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RequestOptions {
-    threads: usize,
     use_result_cache: bool,
     max_allocations: u128,
     max_markings: usize,
@@ -582,7 +578,6 @@ impl RequestOptions {
             }
         };
 
-        let threads = (parse_u64("threads", 1)? as usize).clamp(1, limits.max_threads);
         let defaults = ReachabilityOptions::default();
         let max_markings = (parse_u64("max_markings", defaults.max_markings as u64)? as usize)
             .clamp(1, limits.max_markings);
@@ -652,7 +647,6 @@ impl RequestOptions {
             .clamp(1, limits.max_allocations.min(usize::MAX as u128) as usize);
 
         Ok(RequestOptions {
-            threads,
             use_result_cache: parse_bool("cache", true)?,
             max_allocations,
             max_markings,
@@ -676,10 +670,8 @@ impl RequestOptions {
     }
 
     /// Folds every response-relevant option with the endpoint tag and the net
-    /// fingerprint into the result-cache key. `threads`, `deadline_ms` and
-    /// `use_result_cache` are deliberately excluded: they never change the body of a
-    /// completed response (the sweep is bit-identical at any thread count, and
-    /// exploration ignores it).
+    /// fingerprint into the result-cache key. `deadline_ms` and `use_result_cache` are
+    /// deliberately excluded: they never change the body of a completed response.
     fn cache_key(&self, endpoint: Endpoint, fingerprint: u128) -> u128 {
         let mut fp = Fingerprint128::new();
         fp.fold(endpoint as u64);
@@ -715,7 +707,6 @@ impl RequestOptions {
             allocation: AllocationOptions {
                 max_allocations: self.max_allocations,
             },
-            threads: self.threads,
             cancel,
             memory: self.memory(),
             ..QssOptions::default()
@@ -1229,21 +1220,38 @@ mod tests {
 
     #[test]
     fn thread_count_shares_one_cache_entry() {
-        let (limits, cache, metrics) = ctx_parts();
-        let ctx = HandlerCtx {
-            limits: &limits,
-            cache: &cache,
-            metrics: &metrics,
-            governor: None,
-        };
-        let text = to_text(&gallery::figure2());
-        let first = handle(&ctx, &post("/analyze", &text));
-        let second = handle(&ctx, &post("/analyze?threads=2", &text));
-        assert_eq!(first.status, 200);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(first.body, second.body);
+        // `threads` is ignored like any unknown query parameter, numeric or not, so it
+        // neither changes a body nor splits a cache entry.
+        let net_text = to_text(&gallery::figure2());
+        let ring = gallery::marked_ring(3, 1);
+        let space = fcpn_petri::statespace::StateSpace::explore(
+            &ring,
+            fcpn_petri::analysis::ReachabilityOptions::default(),
+        );
+        let lts_text = Lts::from_statespace(&ring, &space).unwrap().to_text();
+        for (path, text) in [
+            ("/schedule", &net_text),
+            ("/analyze", &net_text),
+            ("/codegen", &net_text),
+            ("/synthesize", &lts_text),
+        ] {
+            for threads in ["2", "abc"] {
+                let (limits, cache, metrics) = ctx_parts();
+                let ctx = HandlerCtx {
+                    limits: &limits,
+                    cache: &cache,
+                    metrics: &metrics,
+                    governor: None,
+                };
+                let first = handle(&ctx, &post(path, text));
+                let second = handle(&ctx, &post(&format!("{path}?threads={threads}"), text));
+                assert_eq!(first.status, 200, "{path}: {}", first.body);
+                assert_eq!(first.body, second.body, "{path}?threads={threads}");
+                assert_eq!(cache.misses(), 1, "{path}?threads={threads}");
+                assert_eq!(cache.hits(), 1, "{path}?threads={threads}");
+                assert_eq!(cache.len(), 1, "{path}?threads={threads}");
+            }
+        }
     }
 
     #[test]
@@ -1722,7 +1730,7 @@ mod tests {
         };
         let text = to_text(&gallery::figure4());
         for query in [
-            "/schedule?threads=abc",
+            "/schedule?max_allocations=x",
             "/analyze?max_markings=-2",
             "/codegen?lang=fortran",
         ] {

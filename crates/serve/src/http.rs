@@ -15,7 +15,7 @@
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Hard limits applied while reading one request.
 #[derive(Debug, Clone, Copy)]
@@ -356,9 +356,11 @@ impl IncrementalParser {
     /// already buffered are served without touching the socket.
     ///
     /// `Ok(None)` means there is nothing to answer: the peer closed, the socket failed
-    /// or timed out, or a read returned after `deadline`. The deadline is checked after
-    /// every read, so a slow-loris peer dripping bytes under the socket's read timeout
-    /// still loses its worker at the deadline.
+    /// or timed out, or a read returned more than `read_deadline` after the request's
+    /// first byte. The clock starts when that byte is buffered (at once for pipelined
+    /// bytes), so keep-alive idle time does not count against it, and it is checked
+    /// after every read, so a slow-loris peer dripping bytes under the socket's read
+    /// timeout still loses its worker at the deadline.
     ///
     /// # Errors
     ///
@@ -366,17 +368,21 @@ impl IncrementalParser {
     pub(crate) fn next_request(
         &mut self,
         reader: &mut impl Read,
-        deadline: Instant,
+        read_deadline: Duration,
     ) -> Result<Option<Request>, HttpError> {
         let mut chunk = [0u8; 8192];
+        let mut deadline = (!self.is_idle()).then(|| Instant::now() + read_deadline);
         loop {
             if let Some(request) = self.poll()? {
                 return Ok(Some(request));
             }
             match reader.read(&mut chunk) {
                 Ok(0) => return Ok(None),
-                Ok(_) if Instant::now() > deadline => return Ok(None),
-                Ok(n) => self.feed(&chunk[..n]),
+                Ok(_) if deadline.is_some_and(|d| Instant::now() > d) => return Ok(None),
+                Ok(n) => {
+                    deadline.get_or_insert_with(|| Instant::now() + read_deadline);
+                    self.feed(&chunk[..n]);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Ok(None),
             }
@@ -583,8 +589,7 @@ mod tests {
     /// Reads one request the way the threaded front end does: blocking reads into a
     /// fresh parser.
     fn read_with(reader: &mut impl Read, limits: HttpLimits) -> Result<Option<Request>, HttpError> {
-        let deadline = Instant::now() + std::time::Duration::from_secs(60);
-        IncrementalParser::new(limits).next_request(reader, deadline)
+        IncrementalParser::new(limits).next_request(reader, Duration::from_secs(60))
     }
 
     fn parse_str(input: &str) -> Result<Option<Request>, HttpError> {

@@ -17,7 +17,7 @@
 //! | `/healthz` | GET | — | liveness probe |
 //! | `/metrics` | GET | — | request/cache/queue counters |
 //!
-//! Per-request options ride in the query string (`?threads=2&max_markings=50000&…`),
+//! Per-request options ride in the query string (`?max_markings=50000&deadline_ms=500&…`),
 //! clamped against server-side caps and mapped onto the engine's
 //! [`ExploreOptions`](fcpn_petri::statespace::ExploreOptions) /
 //! [`QssOptions`](fcpn_qss::QssOptions) knobs. Responses are deterministic JSON, which

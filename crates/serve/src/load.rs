@@ -286,7 +286,7 @@ pub struct FanoutSpec {
     pub idle_connections: usize,
     /// Requests issued per active connection.
     pub requests_per_connection: usize,
-    /// Endpoint path + query, e.g. `"/schedule?threads=1"`.
+    /// Endpoint path + query, e.g. `"/schedule?cache=0"`.
     pub target: String,
     /// The nets to replay: `(label, text-format body)`; connections round-robin.
     pub nets: Vec<(String, String)>,

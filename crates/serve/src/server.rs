@@ -619,8 +619,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ThreadedShared) {
         if core.shutting_down() {
             return;
         }
-        let deadline = Instant::now() + core.config.request_read_deadline;
-        let request = match parser.next_request(&mut stream, deadline) {
+        let request = match parser.next_request(&mut stream, core.config.request_read_deadline) {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(HttpError { status, message }) => {

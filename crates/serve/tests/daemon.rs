@@ -355,10 +355,10 @@ fn healthz_metrics_and_hostile_inputs() {
 
 #[test]
 fn per_request_thread_option_matches_sequential_answer() {
-    // The sharded scheduler pins bit-identical outcomes for any thread count and
-    // exploration ignores `threads`; the daemon must preserve both through the options
-    // plumbing. `threads` is not part of the cache key, so `cache=0` makes every
-    // request run its handler instead of replaying the first answer.
+    // `threads` is ignored like any unknown query parameter: the sweep and the
+    // explorer run on the worker's own thread, so every value, numeric or not, leaves
+    // the body byte-identical. `cache=0` makes every request run its handler instead
+    // of replaying the first answer.
     let net = gallery::choice_chain(6);
     let text = to_text(&net);
     let expected_schedule = expected_schedule_body(&net);
@@ -378,10 +378,7 @@ fn per_request_thread_option_matches_sequential_answer() {
         let request = Request {
             method: "POST".into(),
             path: "/analyze".into(),
-            query: vec![
-                ("max_markings".into(), "5000".into()),
-                ("threads".into(), "1".into()),
-            ],
+            query: vec![("max_markings".into(), "5000".into())],
             headers: Vec::new(),
             body: text.clone().into_bytes(),
         };
@@ -392,7 +389,7 @@ fn per_request_thread_option_matches_sequential_answer() {
     for_each_front_end(|reactor| {
         let handle = spawn_on(reactor, ServerConfig::default());
         let mut c = client(&handle);
-        for threads in [1, 2, 4] {
+        for threads in ["1", "2", "4", "abc"] {
             for (path, expected) in [
                 ("/schedule?cache=0", &expected_schedule),
                 (analyze, &expected_analyze),
@@ -447,6 +444,55 @@ fn slow_loris_request_is_dropped_at_the_read_deadline() {
                 ) => {} // reset: also released
             other => panic!("server kept the slow connection alive (reactor={reactor}): {other:?}"),
         }
+        handle.shutdown();
+    });
+}
+
+#[test]
+fn keep_alive_idle_time_does_not_count_against_the_read_deadline() {
+    // The request-read deadline runs from a request's first byte, not from the end of
+    // the previous response: a client that idles on keep-alive for most of the
+    // deadline, then sends a request in two writes that ends well within the deadline
+    // measured from its first byte, must get its answer.
+    use std::io::{Read, Write};
+    let probe = "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+    let ok = "{\"status\":\"ok\"}";
+    let expect_answer = |stream: &mut std::net::TcpStream, what: &str, reactor: bool| {
+        let mut seen = String::new();
+        let mut buf = [0u8; 1024];
+        while !seen.ends_with(ok) {
+            let n = stream.read(&mut buf).unwrap_or(0);
+            assert!(
+                n > 0,
+                "{what}: connection closed unanswered (reactor={reactor})"
+            );
+            seen.push_str(&String::from_utf8_lossy(&buf[..n]));
+        }
+        assert!(seen.starts_with("HTTP/1.1 200 OK"), "{what}: {seen:?}");
+    };
+    for_each_front_end(|reactor| {
+        let handle = spawn_on(
+            reactor,
+            ServerConfig {
+                request_read_deadline: Duration::from_millis(800),
+                read_timeout: Duration::from_millis(1500),
+                ..ServerConfig::default()
+            },
+        );
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(probe.as_bytes()).unwrap();
+        expect_answer(&mut stream, "first request", reactor);
+        // 600 ms idle, then 300 ms between the two halves: 900 ms after the first
+        // answer, but only 300 ms after the second request's first byte.
+        std::thread::sleep(Duration::from_millis(600));
+        let (head, tail) = probe.split_at(10);
+        stream.write_all(head.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        stream.write_all(tail.as_bytes()).unwrap();
+        expect_answer(&mut stream, "request after the keep-alive wait", reactor);
         handle.shutdown();
     });
 }

@@ -13,8 +13,8 @@
 //!             [--reactor | --threaded] [--max-conns N] [--idle-timeout-ms N]
 //!             [--tenant-rate R] [--tenant-burst B] [--tenant-max-inflight N]
 //!             [--cache-entries N] [--cache-bytes N] [--cache-dir PATH]
-//!             [--max-threads N] [--deadline-ms N] [--read-timeout-ms N]
-//!             [--read-deadline-ms N] [--mem-budget BYTES]
+//!             [--deadline-ms N] [--read-timeout-ms N] [--read-deadline-ms N]
+//!             [--mem-budget BYTES]
 //! ```
 //!
 //! On Linux the daemon defaults to the **event-driven reactor** front end (one epoll
@@ -45,7 +45,7 @@ fn usage() -> ! {
         "usage: fcpn-served [--addr HOST:PORT] [--workers N] [--queue N] \
          [--reactor | --threaded] [--max-conns N] [--idle-timeout-ms N] \
          [--tenant-rate R] [--tenant-burst B] [--tenant-max-inflight N] \
-         [--cache-entries N] [--cache-bytes N] [--cache-dir PATH] [--max-threads N] \
+         [--cache-entries N] [--cache-bytes N] [--cache-dir PATH] \
          [--deadline-ms N] [--read-timeout-ms N] [--read-deadline-ms N] \
          [--mem-budget BYTES]"
     );
@@ -118,7 +118,6 @@ fn main() {
             "--cache-entries" => config.cache_entries = parse_num(i) as usize,
             "--cache-bytes" => config.cache_bytes = (parse_num(i) as usize).max(1),
             "--cache-dir" => config.cache_dir = Some(value(i).into()),
-            "--max-threads" => config.limits.max_threads = (parse_num(i) as usize).max(1),
             "--deadline-ms" => {
                 let ms = parse_num(i).max(1);
                 config.limits.default_deadline_ms = ms;

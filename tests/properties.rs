@@ -416,7 +416,6 @@ fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label
         net,
         &ExploreOptions {
             reach: options,
-            threads: 1,
             width: TokenWidth::U64,
             ..ExploreOptions::default()
         },

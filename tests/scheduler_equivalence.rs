@@ -11,7 +11,7 @@
 //! * [`TReduction::compute_in`] on a reused [`ReductionWorkspace`] (and the gray-code
 //!   allocation sweep feeding it) versus [`TReduction::compute`] — identical reduced
 //!   nets, maps and traces;
-//! * [`quasi_static_schedule`] at 1, 2 and 4 threads versus
+//! * [`quasi_static_schedule`] (the gray sweep, sorted back into seed order) versus
 //!   [`quasi_static_schedule_naive`] (the retained seed pipeline) — bit-for-bit
 //!   identical outcomes: verdicts, cycle order, diagnostics order.
 
@@ -227,52 +227,41 @@ fn checker_verdicts_match_seed_on_random_free_choice_nets() {
     }
 }
 
-/// The full pipeline matrix on one net: the seed pipeline versus the production one at
-/// 1, 2 and 4 threads, cached and uncached — all five outcomes bit-for-bit identical.
+/// The full pipeline matrix on one net: the seed pipeline versus the production one,
+/// cached and uncached, with an armed token and with a roomy budget — every outcome
+/// bit-for-bit identical.
 fn assert_schedules_equal(net: &PetriNet, label: &str) {
     let naive = quasi_static_schedule_naive(net, &QssOptions::default()).expect(label);
-    for threads in [1usize, 2, 4] {
-        for reuse_component_cache in [true, false] {
-            let options = QssOptions {
-                threads,
-                reuse_component_cache,
-                ..QssOptions::default()
-            };
-            let fast = quasi_static_schedule(net, &options).expect(label);
-            assert_eq!(
-                naive, fast,
-                "{label}: threads={threads} cache={reuse_component_cache}"
-            );
-        }
+    for reuse_component_cache in [true, false] {
+        let options = QssOptions {
+            reuse_component_cache,
+            ..QssOptions::default()
+        };
+        let fast = quasi_static_schedule(net, &options).expect(label);
+        assert_eq!(naive, fast, "{label}: cache={reuse_component_cache}");
     }
     // An armed but never-fired cancellation token must be invisible in the output:
     // the gate only *polls* it, so the result stays bit-identical to the default run.
-    for threads in [1usize, 4] {
-        let armed = QssOptions {
-            threads,
-            cancel: fcpn::petri::cancel::CancelToken::new(),
-            ..QssOptions::default()
-        };
-        let watched = quasi_static_schedule(net, &armed).expect(label);
-        assert_eq!(
-            naive, watched,
-            "{label}: armed-but-idle cancel token changed the outcome (threads={threads})"
-        );
-    }
+    let armed = QssOptions {
+        cancel: fcpn::petri::cancel::CancelToken::new(),
+        ..QssOptions::default()
+    };
+    let watched = quasi_static_schedule(net, &armed).expect(label);
+    assert_eq!(
+        naive, watched,
+        "{label}: armed-but-idle cancel token changed the outcome"
+    );
     // Same contract for the memory budget: armed-but-unreached charges only count,
     // they never steer, so a roomy budget leaves the outcome bit-identical too.
-    for threads in [1usize, 2, 4] {
-        let budgeted = QssOptions {
-            threads,
-            memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
-            ..QssOptions::default()
-        };
-        let governed = quasi_static_schedule(net, &budgeted).expect(label);
-        assert_eq!(
-            naive, governed,
-            "{label}: armed-but-unreached memory budget changed the outcome (threads={threads})"
-        );
-    }
+    let budgeted = QssOptions {
+        memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
+        ..QssOptions::default()
+    };
+    let governed = quasi_static_schedule(net, &budgeted).expect(label);
+    assert_eq!(
+        naive, governed,
+        "{label}: armed-but-unreached memory budget changed the outcome"
+    );
 }
 
 #[test]
@@ -301,31 +290,31 @@ fn scheduler_outcome_is_bit_identical_on_random_free_choice_nets() {
 
 #[test]
 fn scheduler_exhaustion_is_deterministic_across_thread_counts() {
-    // The scheduler's charges are thread-count-invariant (one workspace charge up
-    // front, then retained results in seed order after the merge), so the same net
-    // under the same too-small budget must fail with the *same* typed error — same
-    // stage, same requested bytes — whether the sweep ran sequential or sharded.
+    // The scheduler's charges do not depend on the gray sweep's order (one workspace
+    // charge up front, then retained results in seed order after the sort), so the
+    // same net under the same too-small budget fails with one pinned typed error —
+    // same stage, same limit, same requested bytes — on every run.
     for (net, limit) in [
         (gallery::choice_chain(6), 256u64),
         (gallery::figure5(), 128u64),
     ] {
         let label = net.name().to_string();
-        let mut errors = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let options = QssOptions {
-                threads,
-                memory: fcpn::petri::MemoryBudget::with_limit(limit),
-                ..QssOptions::default()
-            };
-            match quasi_static_schedule(&net, &options) {
-                Err(fcpn::qss::QssError::ResourceExhausted(e)) => errors.push(e),
-                other => panic!("{label}: expected exhaustion at threads={threads}, got {other:?}"),
-            }
+        let options = QssOptions {
+            memory: fcpn::petri::MemoryBudget::with_limit(limit),
+            ..QssOptions::default()
+        };
+        match quasi_static_schedule(&net, &options) {
+            Err(fcpn::qss::QssError::ResourceExhausted(e)) => assert_eq!(
+                e,
+                fcpn::petri::ResourceExhausted {
+                    stage: "schedule-workspace",
+                    limit_bytes: limit,
+                    requested_bytes: 65_536,
+                },
+                "{label}"
+            ),
+            other => panic!("{label}: expected exhaustion, got {other:?}"),
         }
-        assert!(
-            errors.windows(2).all(|w| w[0] == w[1]),
-            "{label}: exhaustion error differed across thread counts: {errors:?}"
-        );
     }
 }
 
@@ -333,7 +322,7 @@ fn scheduler_exhaustion_is_deterministic_across_thread_counts() {
 fn scheduler_outcome_is_bit_identical_on_the_atm_model() {
     // The paper's case study end to end: 11 choices (2048 allocations) on the small
     // model keeps the debug-mode runtime sane while exercising a real multi-choice
-    // merge across thread counts.
+    // sort back into seed order.
     let model = fcpn::atm::AtmModel::build(fcpn::atm::AtmConfig::small()).expect("atm model");
     assert_schedules_equal(&model.net, "atm small");
 }
