@@ -10,10 +10,16 @@
 //! pool. The recorded baseline lives in the `executor` section of
 //! `BENCH_statespace.json` (regenerate with
 //! `cargo run --release -p fcpn-bench --example scaling_table -- --out BENCH_statespace.json`).
+//!
+//! The `task_ir` group times the step before: [`fcpn_codegen::synthesize`] building the
+//! task IR from a valid schedule, on the largest `/codegen` inputs of the
+//! `schedule_cold` workload. Each program's size is asserted first, so a change to the
+//! builder's output fails here before anything is timed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fcpn_atm::{AtmConfig, AtmModel};
 use fcpn_bench::{program_of, pump_compiled, pump_interpreter};
-use fcpn_codegen::CompiledProgram;
+use fcpn_codegen::{synthesize, CodeMetrics, CompiledProgram, SynthesisOptions};
 use fcpn_petri::gallery;
 use std::hint::black_box;
 
@@ -52,5 +58,39 @@ fn bench_event_pump(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_pump);
+fn bench_task_ir(c: &mut Criterion) {
+    let atm = AtmModel::build(AtmConfig { queues: 4 })
+        .expect("the ATM model builds")
+        .net;
+    let cases = [
+        ("choice_chain_10", gallery::choice_chain(10), 82),
+        ("choice_chain_12", gallery::choice_chain(12), 98),
+        ("atm_queues_4", atm, 107),
+    ];
+    let mut group = c.benchmark_group("task_ir");
+    for (name, net, ir_statements) in &cases {
+        let (schedule, program) = program_of(net);
+        assert_eq!(
+            CodeMetrics::of(&program, net).ir_statements,
+            *ir_statements,
+            "{name}: IR size changed"
+        );
+        println!(
+            "{name}: {} cycles, {ir_statements} IR statements",
+            schedule.cycle_count()
+        );
+        group.bench_function(BenchmarkId::new("synthesize", name), |b| {
+            b.iter(|| {
+                synthesize(
+                    black_box(net),
+                    black_box(&schedule),
+                    SynthesisOptions::default(),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_event_pump, bench_task_ir);
 criterion_main!(benches);

@@ -11,11 +11,21 @@
 //!   counting variable on the connecting place is introduced, with an `if` test when the
 //!   consumer fires less often than its producer and a `while` loop when it fires more
 //!   often — exactly the cases the paper's `Task` routine distinguishes.
+//!
+//! A task's view of one cycle, its *slice*, is held as the `(transition, count)` pairs of
+//! the transitions whose rate depends on the task's input, in causal order. The order is
+//! a function of the counts, and many cycles repeat a slice (every resolution of a choice
+//! outside the task does), so each task drops repeated count vectors by hashing them
+//! before ordering, keeping the first occurrence. The if/else tree is then built by
+//! recursion on borrowed sub-slices: an arm's head is a prefix of its slices and the code
+//! after a reconverging choice is built from their suffixes, so no level copies a slice.
+//! Hash sets only answer membership; every list keeps the order of the cycles, so the IR
+//! is deterministic.
 
 use crate::{ChoiceArm, CodegenError, Program, Result, Stmt, Task};
 use fcpn_petri::{PetriNet, PlaceId, TransitionId};
-use fcpn_qss::{FiniteCompleteCycle, ValidSchedule};
-use std::collections::BTreeSet;
+use fcpn_qss::ValidSchedule;
+use std::collections::HashSet;
 
 /// Options controlling software synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,15 +35,8 @@ pub struct SynthesisOptions {
     _reserved: (),
 }
 
-/// A task's view of one cycle: the transitions it must execute (in first-occurrence
-/// order) and how many times each fires per cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TaskSlice {
-    /// Transitions in first-occurrence order.
-    order: Vec<TransitionId>,
-    /// Firing counts per parent transition.
-    counts: Vec<u64>,
-}
+/// One transition of a slice with its firing count per cycle.
+type Step = (TransitionId, u64);
 
 /// Synthesises the task-level software implementation of `net` from its valid schedule.
 ///
@@ -69,43 +72,41 @@ pub fn synthesize(
     }
     let counter_places = counter_places(net);
     let sources = net.source_transitions();
+    // Closed nets (no environment inputs) become a single task running one full cycle
+    // per invocation.
+    let roots: Vec<Option<TransitionId>> = if sources.is_empty() {
+        vec![None]
+    } else {
+        sources.into_iter().map(Some).collect()
+    };
 
-    let mut tasks = Vec::new();
-    if sources.is_empty() {
-        // Closed nets (no environment inputs) become a single task running one full cycle
-        // per invocation.
-        let slices: Vec<TaskSlice> = schedule
-            .cycles
-            .iter()
-            .map(|cycle| TaskSlice {
-                order: causal_order(net, &cycle.counts, None),
-                counts: cycle.counts.clone(),
-            })
-            .collect();
+    let mut tasks = Vec::with_capacity(roots.len());
+    for source in roots {
+        let mut seen: HashSet<&[u64]> = HashSet::new();
+        let mut slices: Vec<Vec<Step>> = Vec::new();
+        for cycle in &schedule.cycles {
+            let counts = match source {
+                None => &cycle.counts,
+                Some(source) => cycle
+                    .source_slices
+                    .iter()
+                    .find(|&&(s, _)| s == source)
+                    .map(|(_, counts)| counts)
+                    .ok_or(CodegenError::MissingSlice { source })?,
+            };
+            if seen.insert(counts) {
+                slices.push(causal_order(net, counts, source));
+            }
+        }
+        let slices: Vec<&[Step]> = slices.iter().map(Vec::as_slice).collect();
         tasks.push(Task {
-            name: "task_main".to_string(),
-            source: None,
+            name: match source {
+                None => "task_main".to_string(),
+                Some(source) => format!("task_{}", net.transition_name(source)),
+            },
+            source,
             body: build_segment(net, &counter_places, &slices, None),
         });
-    } else {
-        for &source in &sources {
-            let mut slices = Vec::new();
-            for cycle in &schedule.cycles {
-                let slice =
-                    slice_for(cycle, source).ok_or(CodegenError::MissingSlice { source })?;
-                let order = causal_order(net, &slice, Some(source));
-                slices.push(TaskSlice {
-                    order,
-                    counts: slice,
-                });
-            }
-            dedup_slices(&mut slices);
-            tasks.push(Task {
-                name: format!("task_{}", net.transition_name(source)),
-                source: Some(source),
-                body: build_segment(net, &counter_places, &slices, None),
-            });
-        }
     }
 
     Ok(Program {
@@ -134,88 +135,49 @@ fn counter_places(net: &PetriNet) -> Vec<PlaceId> {
         .collect()
 }
 
-/// Extracts the slice of `cycle` attributed to `source`, i.e. the firing counts of the
-/// transitions whose rate depends on that input.
-fn slice_for(cycle: &FiniteCompleteCycle, source: TransitionId) -> Option<Vec<u64>> {
-    cycle
-        .source_slices
-        .iter()
-        .find(|&&(s, _)| s == source)
-        .map(|(_, counts)| counts.clone())
-}
-
-/// Orders the transitions in the support of `counts` causally within the task: the task's
-/// own source first, then every transition once all of its in-support producers have been
-/// placed. This is the order in which the task's code executes the computations when its
-/// input event arrives, independent of how the full cycle interleaves other tasks.
-fn causal_order(net: &PetriNet, counts: &[u64], source: Option<TransitionId>) -> Vec<TransitionId> {
-    let support: Vec<TransitionId> = net
-        .transitions()
-        .filter(|t| counts[t.index()] > 0)
-        .collect();
-    let in_support: BTreeSet<TransitionId> = support.iter().copied().collect();
-    let mut order: Vec<TransitionId> = Vec::with_capacity(support.len());
-    let mut placed: BTreeSet<TransitionId> = BTreeSet::new();
-    if let Some(source) = source {
-        if in_support.contains(&source) {
-            order.push(source);
-            placed.insert(source);
-        }
+/// Orders the transitions in the support of `counts` causally within the task, each with
+/// its count: the task's own source first, then every transition once all of its
+/// in-support producers have been placed. This is the order in which the task's code
+/// executes the computations when its input event arrives, independent of how the full
+/// cycle interleaves other tasks.
+fn causal_order(net: &PetriNet, counts: &[u64], source: Option<TransitionId>) -> Vec<Step> {
+    let in_support = |t: TransitionId| counts[t.index()] > 0;
+    let support = counts.iter().filter(|&&c| c > 0).count();
+    let mut order: Vec<Step> = Vec::with_capacity(support);
+    let mut placed = vec![false; counts.len()];
+    if let Some(source) = source.filter(|&s| in_support(s)) {
+        order.push((source, counts[source.index()]));
+        placed[source.index()] = true;
     }
-    while order.len() < support.len() {
-        let mut added = false;
-        for &t in &support {
-            if placed.contains(&t) {
+    while order.len() < support {
+        let placed_before = order.len();
+        for t in net.transitions() {
+            if !in_support(t) || placed[t.index()] {
                 continue;
             }
             let ready = net.inputs(t).iter().all(|&(p, _)| {
-                let producers_in_support: Vec<TransitionId> = net
-                    .producers(p)
-                    .iter()
-                    .map(|&(producer, _)| producer)
-                    .filter(|producer| in_support.contains(producer))
-                    .collect();
-                producers_in_support.is_empty()
-                    || producers_in_support
-                        .iter()
-                        .any(|producer| placed.contains(producer))
+                let producers = net.producers(p);
+                producers.iter().any(|&(u, _)| placed[u.index()])
+                    || !producers.iter().any(|&(u, _)| in_support(u))
                     || net.initial_marking().tokens(p) > 0
             });
             if ready {
-                order.push(t);
-                placed.insert(t);
-                added = true;
+                order.push((t, counts[t.index()]));
+                placed[t.index()] = true;
             }
         }
-        if !added {
+        if order.len() == placed_before {
             // Break structural cycles deterministically by index order.
-            if let Some(&t) = support.iter().find(|t| !placed.contains(t)) {
-                order.push(t);
-                placed.insert(t);
+            if let Some(t) = net
+                .transitions()
+                .find(|&t| in_support(t) && !placed[t.index()])
+            {
+                order.push((t, counts[t.index()]));
+                placed[t.index()] = true;
             }
         }
     }
     order
-}
-
-/// Zeroes the counts of transitions outside `order`, so that continuations that only
-/// differ in the counts of already-emitted transitions compare (and deduplicate) as equal.
-fn restrict_counts(counts: &[u64], order: &[TransitionId]) -> Vec<u64> {
-    let mut restricted = vec![0u64; counts.len()];
-    for &t in order {
-        restricted[t.index()] = counts[t.index()];
-    }
-    restricted
-}
-
-fn dedup_slices(slices: &mut Vec<TaskSlice>) {
-    let mut unique: Vec<TaskSlice> = Vec::new();
-    for slice in slices.drain(..) {
-        if !unique.contains(&slice) {
-            unique.push(slice);
-        }
-    }
-    *slices = unique;
 }
 
 /// Recursively builds the statements shared by `slices`: the common prefix is emitted
@@ -224,24 +186,21 @@ fn dedup_slices(slices: &mut Vec<TaskSlice>) {
 fn build_segment(
     net: &PetriNet,
     counters: &[PlaceId],
-    slices: &[TaskSlice],
-    prev: Option<(TransitionId, u64)>,
+    slices: &[&[Step]],
+    prev: Option<Step>,
 ) -> Vec<Stmt> {
-    let slices: Vec<&TaskSlice> = slices.iter().filter(|s| !s.order.is_empty()).collect();
-    if slices.is_empty() {
+    let slices: Vec<&[Step]> = slices.iter().copied().filter(|s| !s.is_empty()).collect();
+    let Some(&first) = slices.first() else {
         return Vec::new();
-    }
+    };
     // Length of the common prefix (by transition identity).
-    let mut prefix_len = 0;
-    while let Some(&candidate) = slices[0].order.get(prefix_len) {
-        if slices
-            .iter()
-            .any(|s| s.order.get(prefix_len) != Some(&candidate))
-        {
-            break;
-        }
-        prefix_len += 1;
-    }
+    let prefix_len = (0..first.len())
+        .find(|&i| {
+            slices
+                .iter()
+                .any(|s| s.get(i).map(|&(t, _)| t) != Some(first[i].0))
+        })
+        .unwrap_or(first.len());
 
     let mut statements = Vec::new();
     let mut prev = prev;
@@ -249,42 +208,30 @@ fn build_segment(
     // (e.g. `t1` fires twice per cycle in one resolution and once in another); the rate
     // comparison uses the maximum, which is the sustained requirement.
     let mut sink: &mut Vec<Stmt> = &mut statements;
-    for position in 0..prefix_len {
-        let transition = slices[0].order[position];
-        let count = slices
-            .iter()
-            .map(|s| s.counts[transition.index()])
-            .max()
-            .unwrap_or(1);
+    for (position, &(transition, _)) in first[..prefix_len].iter().enumerate() {
+        let count = slices.iter().map(|s| s[position].1).max().unwrap_or(1);
         sink = emit_transition(net, counters, sink, transition, count, &mut prev);
     }
 
-    // Emit the divergence, if any, as a choice over the conflicting transitions.
-    let remaining: Vec<(&TaskSlice, Option<&TransitionId>)> = slices
-        .iter()
-        .map(|s| (*s, s.order.get(prefix_len)))
-        .collect();
-    if remaining.iter().all(|(_, next)| next.is_none()) {
-        return statements;
-    }
-    // Group the slices by the transition they fire at the divergence point.
-    let mut arms: Vec<(TransitionId, Vec<TaskSlice>)> = Vec::new();
-    for (slice, next) in remaining {
-        let Some(&next) = next else { continue };
-        let rest = TaskSlice {
-            order: slice.order[prefix_len..].to_vec(),
-            counts: slice.counts.clone(),
+    // Group the slices by the transition they fire at the divergence point, if any.
+    let mut arms: Vec<(TransitionId, Vec<&[Step]>)> = Vec::new();
+    for slice in &slices {
+        let rest = &slice[prefix_len..];
+        let Some(&(next, _)) = rest.first() else {
+            continue;
         };
         match arms.iter_mut().find(|(t, _)| *t == next) {
             Some((_, group)) => group.push(rest),
             None => arms.push((next, vec![rest])),
         }
     }
+    if arms.is_empty() {
+        return statements;
+    }
     if arms.len() == 1 {
         // Not an actual data-dependent divergence (all slices continue identically); keep
         // emitting linearly.
-        let (_, group) = &arms[0];
-        let tail = build_segment(net, counters, group, prev);
+        let tail = build_segment(net, counters, &arms[0].1, prev);
         sink.extend(tail);
         return statements;
     }
@@ -296,78 +243,43 @@ fn build_segment(
     // size of the net even though the number of T-reductions is exponential.
     let max_len = arms
         .iter()
-        .flat_map(|(_, group)| group.iter().map(|s| s.order.len()))
+        .flat_map(|(_, group)| group.iter().map(|s| s.len()))
         .max()
         .unwrap_or(0);
-    let mut chosen_split = None;
-    'split: for split in 1..max_len {
-        let mut reference: Option<Vec<(Vec<TransitionId>, Vec<u64>)>> = None;
-        for (_, group) in &arms {
-            let mut continuations: Vec<(Vec<TransitionId>, Vec<u64>)> = group
-                .iter()
-                .map(|s| {
-                    let suffix = s.order.get(split..).unwrap_or(&[]).to_vec();
-                    let counts = restrict_counts(&s.counts, &suffix);
-                    (suffix, counts)
-                })
-                .collect();
-            continuations.sort();
-            continuations.dedup();
-            match &reference {
-                None => reference = Some(continuations),
-                Some(r) if *r != continuations => continue 'split,
-                Some(_) => {}
-            }
-        }
-        chosen_split = Some(split);
-        break;
-    }
+    let chosen_split = (1..max_len).find(|&split| {
+        let reference: HashSet<&[Step]> = suffixes(&arms[0].1, split).collect();
+        arms[1..]
+            .iter()
+            .all(|(_, group)| suffixes(group, split).collect::<HashSet<_>>() == reference)
+    });
 
     // The diverging transitions share a choice place in a free-choice net.
-    let choice_place = arms
+    let choice_place = net
+        .inputs(arms[0].0)
         .first()
-        .and_then(|(t, _)| net.inputs(*t).first().map(|&(p, _)| p))
-        .unwrap_or(PlaceId::new(0));
+        .map_or(PlaceId::new(0), |&(p, _)| p);
 
     match chosen_split {
         Some(split) => {
-            let continuation: Vec<TaskSlice> = {
-                let mut all: Vec<TaskSlice> = arms
-                    .iter()
-                    .flat_map(|(_, group)| group.iter())
-                    .map(|s| {
-                        let order = s.order.get(split..).unwrap_or(&[]).to_vec();
-                        let counts = restrict_counts(&s.counts, &order);
-                        TaskSlice { order, counts }
-                    })
-                    .collect();
-                dedup_slices(&mut all);
-                all
-            };
-            let arm_prev = prev;
+            let mut seen = HashSet::new();
+            let continuation: Vec<&[Step]> = arms
+                .iter()
+                .flat_map(|(_, group)| suffixes(group, split))
+                .filter(|s| seen.insert(*s))
+                .collect();
             let divergent_count = arms
                 .iter()
-                .flat_map(|(t, group)| group.iter().map(|s| s.counts[t.index()]))
+                .flat_map(|(_, group)| group.iter().map(|s| s[0].1))
                 .max()
                 .unwrap_or(1);
-            let first_arm_transition = arms[0].0;
             let choice_arms = arms
-                .into_iter()
+                .iter()
                 .map(|(transition, group)| {
-                    let heads: Vec<TaskSlice> = group
-                        .iter()
-                        .map(|s| TaskSlice {
-                            order: s
-                                .order
-                                .get(..split.min(s.order.len()))
-                                .unwrap_or(&[])
-                                .to_vec(),
-                            counts: s.counts.clone(),
-                        })
-                        .collect();
+                    let heads: Vec<&[Step]> =
+                        group.iter().map(|s| &s[..split.min(s.len())]).collect();
                     ChoiceArm {
-                        transition,
-                        body: build_segment(net, counters, &heads, arm_prev),
+                        transition: *transition,
+                        body: build_segment(net, counters, &heads, prev),
                     }
                 })
                 .collect();
@@ -375,16 +287,16 @@ fn build_segment(
                 place: choice_place,
                 arms: choice_arms,
             });
-            let continuation_prev = Some((first_arm_transition, divergent_count));
+            let continuation_prev = Some((arms[0].0, divergent_count));
             let tail = build_segment(net, counters, &continuation, continuation_prev);
             sink.extend(tail);
         }
         None => {
             let choice_arms = arms
-                .into_iter()
+                .iter()
                 .map(|(transition, group)| ChoiceArm {
-                    transition,
-                    body: build_segment(net, counters, &group, prev),
+                    transition: *transition,
+                    body: build_segment(net, counters, group, prev),
                 })
                 .collect();
             sink.push(Stmt::Choice {
@@ -396,6 +308,15 @@ fn build_segment(
     statements
 }
 
+/// What each of `slices` leaves after its first `split` steps (nothing when it is
+/// shorter).
+fn suffixes<'a, 's>(
+    slices: &'a [&'s [Step]],
+    split: usize,
+) -> impl Iterator<Item = &'s [Step]> + 'a {
+    slices.iter().map(move |s| s.get(split..).unwrap_or(&[]))
+}
+
 /// Emits one transition (and its counter bookkeeping), returning the statement list into
 /// which subsequent statements should be emitted (the body of the guard when one was
 /// created, so downstream consumers nest inside the producing loop).
@@ -405,7 +326,7 @@ fn emit_transition<'a>(
     sink: &'a mut Vec<Stmt>,
     transition: TransitionId,
     count: u64,
-    prev: &mut Option<(TransitionId, u64)>,
+    prev: &mut Option<Step>,
 ) -> &'a mut Vec<Stmt> {
     let is_counter = |p: PlaceId| counters.contains(&p);
     let counter_inputs: Vec<(PlaceId, u64)> = net
@@ -474,12 +395,15 @@ mod tests {
     use fcpn_petri::gallery;
     use fcpn_qss::{quasi_static_schedule, QssOptions};
 
-    fn program_for(net: &PetriNet) -> Program {
-        let schedule = quasi_static_schedule(net, &QssOptions::default())
+    fn schedule_for(net: &PetriNet) -> ValidSchedule {
+        quasi_static_schedule(net, &QssOptions::default())
             .unwrap()
             .schedule()
-            .expect("net must be schedulable");
-        synthesize(net, &schedule, SynthesisOptions::default()).unwrap()
+            .expect("net must be schedulable")
+    }
+
+    fn program_for(net: &PetriNet) -> Program {
+        synthesize(net, &schedule_for(net), SynthesisOptions::default()).unwrap()
     }
 
     #[test]
@@ -573,6 +497,32 @@ mod tests {
         assert_eq!(
             synthesize(&net, &empty, SynthesisOptions::default()).unwrap_err(),
             CodegenError::EmptySchedule
+        );
+    }
+
+    #[test]
+    fn repeated_cycles_build_the_same_program() {
+        let net = gallery::figure5();
+        let schedule = schedule_for(&net);
+        // Each cycle three times, interleaved: (c1 c2 c1 c2 c1 c2).
+        let repeated = ValidSchedule {
+            cycles: (0..3).flat_map(|_| schedule.cycles.clone()).collect(),
+        };
+        assert_eq!(
+            synthesize(&net, &repeated, SynthesisOptions::default()),
+            synthesize(&net, &schedule, SynthesisOptions::default())
+        );
+    }
+
+    #[test]
+    fn builds_are_deterministic() {
+        // Every `HashSet` draws fresh keys, so an order leaked from hash iteration would
+        // make the two builds differ.
+        let net = gallery::choice_chain(8);
+        let schedule = schedule_for(&net);
+        assert_eq!(
+            synthesize(&net, &schedule, SynthesisOptions::default()),
+            synthesize(&net, &schedule, SynthesisOptions::default())
         );
     }
 
