@@ -9,10 +9,10 @@
 //! functional baseline process statistically identical traffic.
 //!
 //! Determinism is what makes the Table I fast path checkable: the workload and the
-//! policy are pure functions of their seed, so the session-backed functional simulator
-//! and the retained naive one can be replayed on *identical* stimulus and pinned to
-//! identical reports (see [`run_table1`](crate::run_table1) /
-//! [`run_table1_naive`](crate::run_table1_naive)).
+//! policy are pure functions of their seed, so [`run_table1`](crate::run_table1)'s
+//! session-backed functional simulation and the seed simulator
+//! (`fcpn_bench::oracle::simulate_functional_partition_naive`) can be replayed on
+//! *identical* stimulus and pinned to identical reports (`tests/atm_case_study.rs`).
 
 use crate::AtmModel;
 use fcpn_codegen::ChoiceResolver;

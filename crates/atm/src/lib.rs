@@ -9,8 +9,8 @@
 //! reruns the paper's Table I comparison ([`run_table1`]) between the quasi-statically
 //! scheduled implementation (2 tasks) and a functional task partitioning (5 tasks).
 //! The functional baseline's token game runs on the `fcpn_petri::statespace`
-//! firing fast path; [`run_table1_naive`] replays the experiment on the retained seed
-//! simulator, and tests pin the two to identical tables.
+//! firing fast path; tests pin its report to the seed simulator's
+//! (`fcpn_bench::oracle::simulate_functional_partition_naive`).
 //!
 //! ```no_run
 //! use fcpn_atm::{run_table1, AtmConfig, AtmModel, Table1Config};
@@ -38,7 +38,7 @@ pub use cells::{generate_workload, AtmChoicePolicy, TrafficConfig};
 pub use error::{AtmError, Result};
 pub use functional::{boundary_places, emit_functional_c, functional_partition};
 pub use model::{AtmConfig, AtmModel, Module, MODULES};
-pub use table1::{run_table1, run_table1_naive, Table1, Table1Config, Table1Row};
+pub use table1::{run_table1, Table1, Table1Config, Table1Row};
 
 #[cfg(test)]
 mod tests {

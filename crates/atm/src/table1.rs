@@ -19,10 +19,7 @@ use crate::{
 };
 use fcpn_codegen::{emit_c, synthesize, CEmitOptions, CodeMetrics, SynthesisOptions};
 use fcpn_qss::{quasi_static_schedule, QssOptions, QssOutcome};
-use fcpn_rtos::{
-    simulate_functional_partition, simulate_functional_partition_naive, simulate_program,
-    CostModel, SimReport,
-};
+use fcpn_rtos::{simulate_functional_partition, simulate_program, CostModel, SimReport};
 use std::fmt;
 
 /// One row of Table I.
@@ -122,10 +119,10 @@ impl Default for Table1Config {
 ///
 /// The functional-baseline token game runs on the
 /// [`FiringSession`](fcpn_petri::statespace::FiringSession) fast path
-/// ([`simulate_functional_partition`]); [`run_table1_naive`] replays the same experiment
-/// on the retained seed simulator and tests pin the two tables to identical results, so
-/// the fast path never changes what Table I reports — only how fast it is produced
-/// (`table1` in `BENCH_statespace.json` records the measured speedup).
+/// ([`simulate_functional_partition`]). `tests/atm_case_study.rs` pins its report to the
+/// seed simulator's on the same workload and policy seed, so the fast path never changes
+/// what Table I reports — only how fast it is produced (`table1` in
+/// `BENCH_statespace.json` records the measured speedup).
 ///
 /// # Errors
 ///
@@ -133,21 +130,6 @@ impl Default for Table1Config {
 /// (which would indicate a modelling regression), and propagates synthesis or simulation
 /// failures.
 pub fn run_table1(model: &AtmModel, config: &Table1Config) -> Result<Table1> {
-    run_table1_impl(model, config, false)
-}
-
-/// [`run_table1`] on the seed marking-by-marking functional simulator
-/// ([`simulate_functional_partition_naive`]) — the reference the fast path is pinned
-/// against, kept public so benchmarks can measure the gap end to end.
-///
-/// # Errors
-///
-/// Same as [`run_table1`].
-pub fn run_table1_naive(model: &AtmModel, config: &Table1Config) -> Result<Table1> {
-    run_table1_impl(model, config, true)
-}
-
-fn run_table1_impl(model: &AtmModel, config: &Table1Config, naive: bool) -> Result<Table1> {
     // --- QSS flow: schedule -> synthesise tasks -> emit C -> simulate. ---
     let outcome = quasi_static_schedule(&model.net, &QssOptions::default())?;
     let schedule = match outcome {
@@ -176,23 +158,13 @@ fn run_table1_impl(model: &AtmModel, config: &Table1Config, naive: bool) -> Resu
     let tasks = functional_partition(model);
     let functional_c = emit_functional_c(model);
     let mut functional_policy = AtmChoicePolicy::new(model, config.traffic, config.seed);
-    let functional_report = if naive {
-        simulate_functional_partition_naive(
-            &model.net,
-            &tasks,
-            &config.cost,
-            &workload,
-            &mut functional_policy,
-        )?
-    } else {
-        simulate_functional_partition(
-            &model.net,
-            &tasks,
-            &config.cost,
-            &workload,
-            &mut functional_policy,
-        )?
-    };
+    let functional_report = simulate_functional_partition(
+        &model.net,
+        &tasks,
+        &config.cost,
+        &workload,
+        &mut functional_policy,
+    )?;
 
     let qss = Table1Row {
         implementation: "QSS".to_string(),
@@ -241,30 +213,6 @@ mod tests {
             table.qss_report.events_processed,
             table.functional_report.events_processed
         );
-    }
-
-    #[test]
-    fn fast_path_table_is_identical_to_naive_table() {
-        // The acceptance bar for the firing fast path: the entire Table I harness —
-        // cycles, activations, per-task breakdowns, fire counts, peaks — is bit-for-bit
-        // identical whether the functional baseline runs on the FiringSession or on the
-        // seed marking-by-marking token game. Checked on both model sizes and two seeds.
-        for config in [AtmConfig::small(), AtmConfig::paper()] {
-            let model = AtmModel::build(config).unwrap();
-            for seed in [1999, 7] {
-                let table_config = Table1Config {
-                    seed,
-                    ..Table1Config::default()
-                };
-                let fast = run_table1(&model, &table_config).unwrap();
-                let naive = run_table1_naive(&model, &table_config).unwrap();
-                assert_eq!(fast.qss, naive.qss);
-                assert_eq!(fast.functional, naive.functional);
-                assert_eq!(fast.schedule_cycles, naive.schedule_cycles);
-                assert_eq!(fast.qss_report, naive.qss_report);
-                assert_eq!(fast.functional_report, naive.functional_report);
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Coverability-graph construction: the interned build (hash-of-slice lookup per
-//! successor) against the retained naive build (`nodes.iter().position(..)`, O(V) per
-//! successor). The gap widens superlinearly with the node count — the asymptotic win of
+//! successor) against the seed build ([`fcpn_bench::oracle::build_coverability_naive`],
+//! `nodes.iter().position(..)`, O(V) per successor). The gap widens superlinearly with the node count — the asymptotic win of
 //! porting node identity onto the state-space interner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fcpn_bench::oracle;
 use fcpn_petri::analysis::{CoverabilityGraph, CoverabilityOptions};
 use fcpn_petri::gallery;
 use std::hint::black_box;
@@ -28,7 +29,7 @@ fn bench_coverability(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("naive", name), net, |b, net| {
             b.iter(|| {
-                CoverabilityGraph::build_naive(black_box(net), CoverabilityOptions::default())
+                oracle::build_coverability_naive(black_box(net), CoverabilityOptions::default())
             })
         });
     }

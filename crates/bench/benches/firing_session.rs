@@ -6,8 +6,8 @@
 //!   ([`fcpn_petri::statespace::FiringSession`]: flat buffer, delta rows, bitmask
 //!   enabled queries);
 //! * **the Table I workload** — the ATM functional-partitioning simulation and the full
-//!   `run_table1` harness, on the session-backed simulator versus the retained
-//!   marking-by-marking reference.
+//!   `run_table1` harness, on the session-backed simulator versus the seed
+//!   marking-by-marking simulator ([`fcpn_bench::oracle`]).
 //!
 //! The corresponding recorded baselines live in the `firing_session` and `table1`
 //! sections of `BENCH_statespace.json` (regenerate with
@@ -15,12 +15,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fcpn_atm::{
-    functional_partition, generate_workload, run_table1, run_table1_naive, AtmChoicePolicy,
-    AtmConfig, AtmModel, Table1Config, TrafficConfig,
+    functional_partition, generate_workload, run_table1, AtmChoicePolicy, AtmConfig, AtmModel,
+    Table1Config, TrafficConfig,
 };
+use fcpn_bench::oracle::{run_table1_naive, simulate_functional_partition_naive};
 use fcpn_bench::{run_naive_trace, run_session_trace};
 use fcpn_petri::gallery;
-use fcpn_rtos::{simulate_functional_partition, simulate_functional_partition_naive, CostModel};
+use fcpn_rtos::{simulate_functional_partition, CostModel};
 use std::hint::black_box;
 
 const TRACE_STEPS: usize = 20_000;

@@ -2,7 +2,7 @@
 //!
 //! `quasi_static_schedule` sweeps the allocation space in gray-code order on workspace
 //! reductions, 128-bit streamed component fingerprints and the sparse fraction-free
-//! Farkas elimination; `quasi_static_schedule_naive` is the seed path (counting-order
+//! Farkas elimination; [`oracle::quasi_static_schedule_naive`] is the seed path (counting-order
 //! enumeration, per-call `BTreeSet` reductions, `Vec<u64>` cache keys, dense Farkas).
 //! Both outcomes are asserted bit-for-bit identical, cached and uncached, before
 //! anything is timed.
@@ -13,11 +13,12 @@
 //! `BENCH_statespace.json` records the same comparison at larger sizes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fcpn_bench::oracle::{self, quasi_static_schedule_naive};
 use fcpn_petri::analysis::{IncidenceMatrix, InvariantAnalysis};
 use fcpn_petri::gallery;
 use fcpn_qss::{
-    allocation_iter, allocation_iter_gray, quasi_static_schedule, quasi_static_schedule_naive,
-    AllocationOptions, QssOptions, ReductionWorkspace, TReduction,
+    allocation_iter, allocation_iter_gray, quasi_static_schedule, AllocationOptions, QssOptions,
+    ReductionWorkspace, TReduction,
 };
 
 fn options(reuse_component_cache: bool) -> QssOptions {
@@ -110,10 +111,10 @@ fn bench_farkas_layer(c: &mut Criterion) {
     group.sample_size(10);
     for (label, d) in &cases {
         let sparse = InvariantAnalysis::of_matrix(d);
-        let dense = InvariantAnalysis::of_matrix_naive(d);
+        let dense = oracle::invariants_of_matrix_naive(d);
         assert_eq!(sparse, dense, "{label}: semiflow bases diverged");
         group.bench_with_input(BenchmarkId::new("dense_naive", label), d, |b, d| {
-            b.iter(|| InvariantAnalysis::of_matrix_naive(d))
+            b.iter(|| oracle::invariants_of_matrix_naive(d))
         });
         group.bench_with_input(
             BenchmarkId::new("sparse_fraction_free", label),

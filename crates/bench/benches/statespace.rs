@@ -1,6 +1,7 @@
 //! State-space engine baseline: explore throughput of the arena-interned
-//! [`fcpn_petri::statespace::StateSpace`] engine against the retained naive
-//! explorer, plus CSR query costs and QSS end-to-end latency on the gallery nets.
+//! [`fcpn_petri::statespace::StateSpace`] engine against the seed explorer
+//! ([`fcpn_bench::oracle::explore_naive`]), plus CSR query costs and QSS end-to-end
+//! latency on the gallery nets.
 //!
 //! `BENCH_statespace.json` at the repository root records the trajectory (speedups are
 //! measured there with interleaved engine/naive pairs, which is robust to machine-load
@@ -8,7 +9,8 @@
 //! `cargo run --release -p fcpn-bench --example scaling_table -- --out BENCH_statespace.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fcpn_petri::analysis::{ReachabilityGraph, ReachabilityOptions};
+use fcpn_bench::oracle;
+use fcpn_petri::analysis::ReachabilityOptions;
 use fcpn_petri::gallery;
 use fcpn_petri::statespace::StateSpace;
 use fcpn_qss::{quasi_static_schedule, QssOptions};
@@ -54,7 +56,7 @@ fn bench_explore(c: &mut Criterion) {
             b.iter(|| StateSpace::explore(black_box(net), *options))
         });
         group.bench_with_input(BenchmarkId::new("naive", name), net, |b, net| {
-            b.iter(|| ReachabilityGraph::explore_naive(black_box(net), *options))
+            b.iter(|| oracle::explore_naive(black_box(net), *options))
         });
     }
     group.finish();

@@ -47,24 +47,25 @@
 //! [`FiringSession`]: fcpn_petri::statespace::FiringSession
 
 use fcpn_atm::{
-    functional_partition, generate_workload, run_table1, run_table1_naive, AtmChoicePolicy,
-    AtmConfig, AtmModel, Table1Config, TrafficConfig,
+    functional_partition, generate_workload, run_table1, AtmChoicePolicy, AtmConfig, AtmModel,
+    Table1Config, TrafficConfig,
+};
+use fcpn_bench::oracle::{
+    self, quasi_static_schedule_naive, run_table1_naive, simulate_functional_partition_naive,
 };
 use fcpn_bench::{
     program_of_with, pump_compiled, pump_interpreter, run_naive_trace, run_session_trace,
 };
 use fcpn_codegen::{CodeMetrics, CompiledProgram};
-use fcpn_petri::analysis::{
-    IncidenceMatrix, InvariantAnalysis, ReachabilityGraph, ReachabilityOptions,
-};
+use fcpn_petri::analysis::{IncidenceMatrix, InvariantAnalysis, ReachabilityOptions};
 use fcpn_petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
 use fcpn_petri::synthesis::{synthesize, Lts, SynthesisOptions};
 use fcpn_petri::{gallery, PetriNet};
 use fcpn_qss::{
-    allocation_iter, allocation_iter_gray, quasi_static_schedule, quasi_static_schedule_naive,
-    AllocationOptions, QssOptions, ReductionWorkspace, TReduction,
+    allocation_iter, allocation_iter_gray, quasi_static_schedule, AllocationOptions, QssOptions,
+    ReductionWorkspace, TReduction,
 };
-use fcpn_rtos::{simulate_functional_partition, simulate_functional_partition_naive, CostModel};
+use fcpn_rtos::{simulate_functional_partition, CostModel};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -169,10 +170,7 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
     let mut resolved_widths: Vec<&'static str> = vec![""; widths.len()];
     for _ in 0..samples() {
         let start = Instant::now();
-        black_box(ReachabilityGraph::explore_naive(
-            black_box(&case.net),
-            case.options,
-        ));
+        black_box(oracle::explore_naive(black_box(&case.net), case.options));
         naive_times.push(start.elapsed().as_secs_f64());
         for (i, &requested) in widths.iter().enumerate() {
             let options = ExploreOptions {
@@ -490,7 +488,7 @@ fn measure_scheduler(label: &str, net: &PetriNet) -> SchedulerRow {
             }
         }));
         farkas_naive.push(time(&mut || {
-            black_box(InvariantAnalysis::of_matrix_naive(black_box(
+            black_box(oracle::invariants_of_matrix_naive(black_box(
                 &component_matrix,
             )));
         }));

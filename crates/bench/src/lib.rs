@@ -1,11 +1,17 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the benchmark harness, and the seed oracles.
 //!
 //! Every bench regenerates one table or figure of the paper; the helpers here centralise
 //! the "schedule and synthesise" boilerplate so the benches only time the part the paper
 //! talks about and print the rows/series being reproduced.
+//!
+//! [`oracle`] holds the seed implementations the production engines replaced. The root
+//! equivalence suites pin each engine against its oracle, and the benches time the
+//! engine against it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod oracle;
 
 use fcpn_codegen::{
     synthesize, CompiledProgram, ExecSession, Interpreter, Program, RoundRobinResolver,

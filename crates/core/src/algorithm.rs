@@ -6,13 +6,14 @@
 //! (counting-order) rank and are sorted back into that order, so the outcome — verdict,
 //! cycle order, diagnostics order — is bit-for-bit identical to the seed scheduler's.
 //! The seed pipeline itself (counting-order enumeration, fresh `BTreeSet` reductions,
-//! `Vec`-keyed cache, dense Farkas) is retained as [`quasi_static_schedule_naive`], the
-//! baseline the `qss_pipeline` benchmark and the equivalence suite measure against.
+//! `Vec`-keyed cache, dense Farkas) is the test and bench oracle
+//! `fcpn_bench::oracle::quasi_static_schedule_naive`; `tests/scheduler_equivalence.rs`
+//! pins the two outcomes and the `qss_pipeline` benchmark times them.
 
 use crate::{
-    allocation_iter, allocation_iter_gray, check_component_naive_with, AllocationOptions,
-    ComponentCache, ComponentChecker, ComponentFailure, ComponentVerdict, FiniteCompleteCycle,
-    GrayAllocationIter, NaiveComponentCache, ReductionWorkspace, Result, TReduction, ValidSchedule,
+    allocation_iter_gray, AllocationOptions, ComponentCache, ComponentChecker, ComponentFailure,
+    ComponentVerdict, FiniteCompleteCycle, GrayAllocationIter, ReductionWorkspace, Result,
+    ValidSchedule,
 };
 use fcpn_petri::cancel::{CancelGate, CancelToken, Cancelled};
 use fcpn_petri::{MemoryBudget, PetriNet, TransitionId};
@@ -32,9 +33,7 @@ pub struct QssOptions {
     /// Cooperative cancellation: the sweep polls this token between allocations and
     /// returns [`QssError::Cancelled`](crate::QssError::Cancelled) when it fires. The
     /// default ([`CancelToken::never`]) is free and never fires; an armed token that
-    /// never fires leaves the outcome bit-for-bit identical. The retained seed pipeline
-    /// ([`quasi_static_schedule_naive`]) deliberately ignores it — it is the oracle the
-    /// production sweep is measured against, not a service entry point.
+    /// never fires leaves the outcome bit-for-bit identical.
     pub cancel: CancelToken,
     /// Byte budget for the sweep. The scheduler charges a canonical cost model — one
     /// net-sized workspace charge up front, then the retained per-allocation results in
@@ -43,8 +42,7 @@ pub struct QssOptions {
     /// the gray sweep's order; sweep scratch (the component cache, the gray cursor) is
     /// bounded by the allocation limit and not charged. The default
     /// ([`MemoryBudget::unlimited`]) is free and never exhausts; an armed budget that
-    /// never exhausts leaves the outcome bit-for-bit identical. The retained seed
-    /// pipeline ignores it, like the cancellation token.
+    /// never exhausts leaves the outcome bit-for-bit identical.
     pub memory: MemoryBudget,
 }
 
@@ -241,48 +239,6 @@ fn sweep(
         out.push((rank, item));
     }
     Ok(out)
-}
-
-/// The seed scheduling pipeline, retained end to end: counting-order enumeration
-/// ([`allocation_iter`]), fresh-`BTreeSet` reductions ([`TReduction::compute`]), the
-/// `Vec<u64>`-keyed component cache and the dense Farkas elimination
-/// ([`check_component_naive_with`]). Always sequential. The outcome is bit-for-bit
-/// identical to [`quasi_static_schedule`]'s — pinned by the equivalence suite — and the
-/// `qss_pipeline` benchmark measures the pipeline win against it.
-///
-/// # Errors
-///
-/// Same as [`quasi_static_schedule`].
-pub fn quasi_static_schedule_naive(net: &PetriNet, options: &QssOptions) -> Result<QssOutcome> {
-    let allocations = allocation_iter(net, options.allocation)?;
-    let mut cache = NaiveComponentCache::default();
-    let mut cycles = Vec::new();
-    let mut failures = Vec::new();
-    let mut components_examined = 0usize;
-    for allocation in allocations {
-        components_examined += 1;
-        let reduction = TReduction::compute(net, allocation)?;
-        if !options.reuse_component_cache {
-            cache = NaiveComponentCache::default();
-        }
-        let verdict = check_component_naive_with(net, &reduction, &mut cache);
-        match verdict {
-            ComponentVerdict::Schedulable(cycle) => cycles.push(cycle),
-            ComponentVerdict::NotSchedulable(failure) => failures.push(ComponentDiagnostic {
-                allocation: reduction.allocation.describe(net),
-                transitions: reduction.parent_transitions(),
-                failure,
-            }),
-        }
-    }
-    if failures.is_empty() {
-        Ok(QssOutcome::Schedulable(ValidSchedule { cycles }))
-    } else {
-        Ok(QssOutcome::NotSchedulable(NotSchedulableReport {
-            components_examined,
-            failures,
-        }))
-    }
 }
 
 /// Convenience wrapper: returns `true` when the marked net is quasi-statically

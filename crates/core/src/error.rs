@@ -1,7 +1,6 @@
 //! Errors reported by the quasi-static scheduler.
 
 use fcpn_petri::{PetriError, PlaceId};
-use fcpn_sdf::SdfError;
 use std::fmt;
 
 /// Errors produced while computing T-allocations, T-reductions or valid schedules.
@@ -31,8 +30,6 @@ pub enum QssError {
     },
     /// An underlying Petri-net operation failed.
     Petri(PetriError),
-    /// An underlying static-scheduling operation failed.
-    Sdf(SdfError),
     /// The sweep was abandoned because its [`CancelToken`](fcpn_petri::CancelToken)
     /// fired (explicit cancel or blown deadline) — a caller decision, not a property of
     /// the input net.
@@ -57,7 +54,6 @@ impl fmt::Display for QssError {
                 "net has {required} T-allocations, more than the configured limit of {limit}"
             ),
             QssError::Petri(e) => write!(f, "petri net error: {e}"),
-            QssError::Sdf(e) => write!(f, "static scheduling error: {e}"),
             QssError::Cancelled => write!(f, "scheduling cancelled"),
             QssError::ResourceExhausted(e) => e.fmt(f),
         }
@@ -68,7 +64,6 @@ impl std::error::Error for QssError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             QssError::Petri(e) => Some(e),
-            QssError::Sdf(e) => Some(e),
             _ => None,
         }
     }
@@ -77,12 +72,6 @@ impl std::error::Error for QssError {
 impl From<PetriError> for QssError {
     fn from(e: PetriError) -> Self {
         QssError::Petri(e)
-    }
-}
-
-impl From<SdfError> for QssError {
-    fn from(e: SdfError) -> Self {
-        QssError::Sdf(e)
     }
 }
 
@@ -131,8 +120,6 @@ mod tests {
     fn conversions_from_lower_layers() {
         let e: QssError = PetriError::ZeroWeightArc.into();
         assert!(matches!(e, QssError::Petri(_)));
-        let e: QssError = SdfError::InconsistentRates.into();
-        assert!(matches!(e, QssError::Sdf(_)));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -45,8 +45,8 @@ mod schedulability;
 mod schedule;
 
 pub use algorithm::{
-    is_schedulable, quasi_static_schedule, quasi_static_schedule_naive, ComponentDiagnostic,
-    NotSchedulableReport, QssOptions, QssOutcome,
+    is_schedulable, quasi_static_schedule, ComponentDiagnostic, NotSchedulableReport, QssOptions,
+    QssOutcome,
 };
 pub use allocation::{
     allocation_iter, allocation_iter_gray, enumerate_allocations, AllocationIter,
@@ -55,8 +55,8 @@ pub use allocation::{
 pub use error::{QssError, Result};
 pub use reduction::{ReductionStep, ReductionWorkspace, TReduction};
 pub use schedulability::{
-    check_component, check_component_naive_with, check_component_with, simulate_cycle,
-    ComponentCache, ComponentChecker, ComponentFailure, ComponentVerdict, NaiveComponentCache,
+    check_component, check_component_with, simulate_cycle, ComponentCache, ComponentChecker,
+    ComponentFailure, ComponentVerdict,
 };
 pub use schedule::{FiniteCompleteCycle, ValidSchedule};
 

@@ -19,9 +19,9 @@
 //!   cache — on a hit, the per-allocation cost is the reduction fixpoint, the
 //!   fingerprint fold and the verdict assembly.
 //!
-//! The seed's `Vec<u64>`-keyed cache and dense Farkas are retained behind
-//! [`NaiveComponentCache`] / [`check_component_naive_with`], the oracle the equivalence
-//! suite and the `qss_pipeline` benchmark measure the fast path against.
+//! The seed's `Vec<u64>`-keyed cache and dense Farkas are the test and bench oracle
+//! `fcpn_bench::oracle::check_component_naive_with`; `tests/scheduler_equivalence.rs`
+//! pins it to the same verdicts on every gallery allocation.
 
 use crate::{FiniteCompleteCycle, ReductionWorkspace, TAllocation, TReduction};
 use fcpn_petri::analysis::{IncidenceMatrix, InvariantAnalysis};
@@ -77,7 +77,7 @@ type CycleResult = Result<(Vec<TransitionId>, Vec<u64>), (Vec<u64>, Vec<Transiti
 
 // ---------------------------------------------------------------------------
 // Structural signatures: the streaming walk, the 128-bit fingerprint fold, and
-// the materialised form used for collision checks and the naive cache.
+// the materialised form used for collision checks.
 // ---------------------------------------------------------------------------
 
 /// Walks the structural signature of a whole net: place/transition counts, the initial
@@ -218,16 +218,6 @@ impl SignatureSource<'_> {
         });
         sig
     }
-}
-
-/// A structural fingerprint of a net: place/transition counts, the initial marking and
-/// the full weighted arc lists in index order, materialised as a `Vec<u64>`. Two nets
-/// with equal signatures have identical incidence structure and token game, hence
-/// identical invariant bases and simulation outcomes. (The production cache keys by the
-/// streamed 128-bit fingerprint and only materialises this once per distinct shape; the
-/// naive cache uses it as the key directly.)
-fn net_signature(net: &PetriNet) -> Vec<u64> {
-    SignatureSource::Net(net).materialise()
 }
 
 // ---------------------------------------------------------------------------
@@ -672,156 +662,6 @@ fn check_impl(
     }
 }
 
-// ---------------------------------------------------------------------------
-// The retained seed cache: Vec<u64> signature keys + dense Farkas.
-// ---------------------------------------------------------------------------
-
-/// The seed's component cache, retained as the reference for the fingerprint-keyed
-/// [`ComponentCache`]: keys are the materialised `Vec<u64>` structural signatures
-/// (allocated per lookup) and the invariant analysis runs the dense
-/// [`InvariantAnalysis::of_matrix_naive`] elimination.
-#[derive(Debug, Default)]
-pub struct NaiveComponentCache {
-    invariants: HashMap<Vec<u64>, Rc<InvariantAnalysis>>,
-    cycles: HashMap<(Vec<u64>, Vec<u32>), Rc<CycleResult>>,
-}
-
-/// [`check_component`] on the retained seed path: per-call `Vec<u64>` signature keys and
-/// the dense Farkas elimination. The verdict is identical to [`check_component_with`]'s;
-/// the pair exists so the equivalence suite and the `qss_pipeline` benchmark can hold
-/// the production pipeline against the seed one end to end.
-pub fn check_component_naive_with(
-    parent: &PetriNet,
-    reduction: &TReduction,
-    cache: &mut NaiveComponentCache,
-) -> ComponentVerdict {
-    let net = &reduction.net;
-    let signature = net_signature(net);
-    let invariants: Rc<InvariantAnalysis> = match cache.invariants.get(&signature) {
-        Some(cached) => Rc::clone(cached),
-        None => {
-            let computed = Rc::new(InvariantAnalysis::of_naive(net));
-            cache
-                .invariants
-                .insert(signature.clone(), Rc::clone(&computed));
-            computed
-        }
-    };
-
-    // (1) Consistency: every transition of the component lies in some T-semiflow.
-    let covered = {
-        let mut covered = vec![false; net.transition_count()];
-        for flow in &invariants.t_semiflows {
-            for index in flow.support() {
-                covered[index] = true;
-            }
-        }
-        covered
-    };
-    let uncovered: Vec<TransitionId> = net
-        .transitions()
-        .filter(|t| !covered[t.index()])
-        .map(|t| reduction.map.parent_transition(t))
-        .collect();
-    if !uncovered.is_empty() || net.transition_count() == 0 {
-        return ComponentVerdict::NotSchedulable(ComponentFailure::Inconsistent { uncovered });
-    }
-
-    // (2) Every source transition of the original net must be covered by a T-invariant of
-    // the component.
-    for parent_source in parent.source_transitions() {
-        let Some(child) = reduction.map.child_transition(parent_source) else {
-            return ComponentVerdict::NotSchedulable(ComponentFailure::SourceNotCovered {
-                source: parent_source,
-            });
-        };
-        if invariants.t_semiflows_containing(child).is_empty() {
-            return ComponentVerdict::NotSchedulable(ComponentFailure::SourceNotCovered {
-                source: parent_source,
-            });
-        }
-    }
-
-    // (3) Simulate the covering T-invariant.
-    let counts = invariants
-        .positive_t_invariant(net.transition_count())
-        .expect("consistency was established above");
-    debug_assert!(IncidenceMatrix::from_net(net).is_t_invariant(&counts));
-    let priority: Vec<TransitionId> = reduction
-        .allocation
-        .choices()
-        .iter()
-        .filter_map(|&(_, chosen)| reduction.map.child_transition(chosen))
-        .collect();
-    let priority_key: Vec<u32> = priority.iter().map(|t| t.index() as u32).collect();
-    let simulated: Rc<CycleResult> =
-        match cache.cycles.get(&(signature.clone(), priority_key.clone())) {
-            Some(cached) => Rc::clone(cached),
-            None => {
-                let computed = Rc::new(simulate_cycle(net, &counts, &priority));
-                cache
-                    .cycles
-                    .insert((signature, priority_key), Rc::clone(&computed));
-                computed
-            }
-        };
-    match &*simulated {
-        Ok((sequence, peaks)) => {
-            let parent_sequence = reduction.sequence_to_parent(sequence);
-            let mut parent_counts = vec![0u64; parent.transition_count()];
-            for &t in &parent_sequence {
-                parent_counts[t.index()] += 1;
-            }
-            let mut parent_bounds = vec![0u64; parent.place_count()];
-            for (child_index, &peak) in peaks.iter().enumerate() {
-                let parent_place = reduction
-                    .map
-                    .parent_place(fcpn_petri::PlaceId::new(child_index));
-                parent_bounds[parent_place.index()] = peak;
-            }
-            let mut source_slices = Vec::new();
-            for parent_source in parent.source_transitions() {
-                let Some(child) = reduction.map.child_transition(parent_source) else {
-                    continue;
-                };
-                let mut slice = vec![0u64; parent.transition_count()];
-                for flow in invariants.t_semiflows_containing(child) {
-                    for (child_index, &count) in flow.vector.iter().enumerate() {
-                        let parent_t = reduction
-                            .map
-                            .parent_transition(TransitionId::new(child_index));
-                        slice[parent_t.index()] += count;
-                    }
-                }
-                source_slices.push((parent_source, slice));
-            }
-            ComponentVerdict::Schedulable(FiniteCompleteCycle {
-                allocation: reduction.allocation.clone(),
-                sequence: parent_sequence,
-                counts: parent_counts,
-                buffer_bounds: parent_bounds,
-                source_slices,
-            })
-        }
-        Err((remaining, fired)) => {
-            let remaining = remaining
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, count)| count > 0)
-                .map(|(index, count)| {
-                    (
-                        reduction.map.parent_transition(TransitionId::new(index)),
-                        count,
-                    )
-                })
-                .collect();
-            let fired = reduction.sequence_to_parent(fired);
-            ComponentVerdict::NotSchedulable(ComponentFailure::Deadlock { remaining, fired })
-        }
-    }
-}
-
 /// Simulates the token game of a conflict-free component until every transition has fired
 /// `counts[t]` times. At each step the lowest-indexed enabled transition that still owes
 /// firings is fired, except that transitions in `priority` (the allocated choice
@@ -1043,15 +883,12 @@ mod tests {
             let mut checker = ComponentChecker::new(&net);
             let mut ws = ReductionWorkspace::new();
             let mut cache = ComponentCache::default();
-            let mut naive_cache = NaiveComponentCache::default();
             for allocation in enumerate_allocations(&net, AllocationOptions::default()).unwrap() {
                 let reduction = TReduction::compute(&net, allocation.clone()).unwrap();
                 let reference = check_component(&net, &reduction);
                 let cached = check_component_with(&net, &reduction, &mut ComponentCache::default());
-                let naive = check_component_naive_with(&net, &reduction, &mut naive_cache);
                 let fast = checker.check(&allocation, &mut ws, &mut cache);
                 assert_eq!(reference, cached, "net {}", net.name());
-                assert_eq!(reference, naive, "net {}", net.name());
                 assert_eq!(reference, fast, "net {}", net.name());
             }
         }

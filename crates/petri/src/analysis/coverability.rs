@@ -215,8 +215,8 @@ impl CoverabilityGraph {
     /// (ω encoded as a sentinel word): each successor costs one hash and, on a hit, one
     /// slice comparison, instead of the former `nodes.iter().position(..)` scan that made
     /// construction O(V) *per successor* — O(V·E) overall. The discovery order, and hence
-    /// the node numbering and edge list, are identical to
-    /// [`CoverabilityGraph::build_naive`]'s.
+    /// the node numbering and edge list, are identical to the linear-scan build's
+    /// (`fcpn_bench::oracle::build_coverability_naive`, pinned in `tests/analysis.rs`).
     pub fn build(net: &PetriNet, options: CoverabilityOptions) -> Self {
         Self::try_build(
             net,
@@ -327,59 +327,6 @@ impl CoverabilityGraph {
         })
     }
 
-    /// The pre-interner construction, retained as the reference implementation: node
-    /// identity is resolved by a linear `nodes.iter().position(..)` scan, O(V) per
-    /// successor. The `coverability` benchmark measures [`CoverabilityGraph::build`]'s
-    /// asymptotic win against it, and the property tests pin their equivalence.
-    pub fn build_naive(net: &PetriNet, options: CoverabilityOptions) -> Self {
-        let mut nodes = vec![OmegaMarking::from_marking(net.initial_marking())];
-        let mut parents: Vec<Option<usize>> = vec![None];
-        let mut edges = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::from([0usize]);
-        let mut complete = true;
-
-        while let Some(current) = queue.pop_front() {
-            for t in net.transitions() {
-                if !nodes[current].is_enabled(net, t) {
-                    continue;
-                }
-                let mut next = nodes[current].fire(net, t);
-                // Accelerate against every ancestor on the path that the successor covers.
-                let mut ancestor = Some(current);
-                while let Some(a) = ancestor {
-                    if next.covers(&nodes[a]) && next != nodes[a] {
-                        let ancestor_marking = nodes[a].clone();
-                        next.accelerate(&ancestor_marking);
-                    }
-                    ancestor = parents[a];
-                }
-                let target = match nodes.iter().position(|n| n == &next) {
-                    Some(existing) => existing,
-                    None => {
-                        if nodes.len() >= options.max_nodes {
-                            complete = false;
-                            continue;
-                        }
-                        nodes.push(next);
-                        parents.push(Some(current));
-                        queue.push_back(nodes.len() - 1);
-                        nodes.len() - 1
-                    }
-                };
-                edges.push(CoverabilityEdge {
-                    from: current,
-                    transition: t,
-                    to: target,
-                });
-            }
-        }
-        CoverabilityGraph {
-            nodes,
-            edges,
-            complete,
-        }
-    }
-
     /// Places that can accumulate tokens without bound (carry ω in some node).
     pub fn unbounded_places(&self) -> Vec<PlaceId> {
         let mut places: Vec<PlaceId> = self
@@ -472,47 +419,6 @@ mod tests {
         assert!(!b.covers(&a));
         assert_eq!(a.to_string(), "(2, ω)");
         assert_eq!(a.omega_places(), vec![PlaceId::new(1)]);
-    }
-
-    #[test]
-    fn interned_build_matches_naive_reference() {
-        let cases: Vec<(&str, crate::PetriNet, CoverabilityOptions)> = vec![
-            (
-                "figure3b",
-                gallery::figure3b(),
-                CoverabilityOptions::default(),
-            ),
-            (
-                "figure5",
-                gallery::figure5(),
-                CoverabilityOptions::default(),
-            ),
-            (
-                "figure7",
-                gallery::figure7(),
-                CoverabilityOptions::default(),
-            ),
-            (
-                "marked_ring(8,4)",
-                gallery::marked_ring(8, 4),
-                CoverabilityOptions::default(),
-            ),
-            (
-                "choice_chain(3)",
-                gallery::choice_chain(3),
-                CoverabilityOptions::default(),
-            ),
-            (
-                "figure5-budget",
-                gallery::figure5(),
-                CoverabilityOptions { max_nodes: 5 },
-            ),
-        ];
-        for (label, net, options) in cases {
-            let interned = CoverabilityGraph::build(&net, options);
-            let naive = CoverabilityGraph::build_naive(&net, options);
-            assert_eq!(interned, naive, "{label}");
-        }
     }
 
     #[test]

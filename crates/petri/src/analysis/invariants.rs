@@ -11,9 +11,9 @@
 //! fraction-free integer rows**: incidence matrices of real nets are overwhelmingly
 //! sparse, every row combination stays in (gcd-normalised) integers, identical rows are
 //! deduplicated through a hash table, and the minimal-support pruning runs on bitsets.
-//! The seed's dense implementation is retained verbatim as
-//! [`InvariantAnalysis::of_matrix_naive`] — the oracle the equivalence tests pin the
-//! sparse path against (the semiflow bases are identical).
+//! The seed's dense elimination it replaced is the test and bench oracle
+//! `fcpn_bench::oracle::invariants_of_matrix_naive`; `tests/scheduler_equivalence.rs`
+//! pins the two to identical semiflow bases.
 
 use super::incidence::IncidenceMatrix;
 use super::rational::Rational;
@@ -79,13 +79,6 @@ impl InvariantAnalysis {
         InvariantAnalysis::of_matrix(&d)
     }
 
-    /// Runs the full invariant analysis on `net` through the retained dense elimination
-    /// ([`InvariantAnalysis::of_matrix_naive`]).
-    pub fn of_naive(net: &PetriNet) -> Self {
-        let d = IncidenceMatrix::from_net(net);
-        InvariantAnalysis::of_matrix_naive(&d)
-    }
-
     /// Computes only the T-semiflow side of the analysis, building the sparse rows
     /// straight from the net's precomputed delta rows — no dense incidence matrix is
     /// ever materialised. Returns the minimal T-semiflows and the completeness flag.
@@ -114,8 +107,8 @@ impl InvariantAnalysis {
     /// combinations are integer (Bareiss-style cross-multiplication followed by gcd
     /// normalisation, so no rationals ever appear), exact duplicate rows are dropped
     /// through a hash table as they are generated, and minimal-support pruning runs on
-    /// per-row support bitsets. The semiflow basis is identical to
-    /// [`InvariantAnalysis::of_matrix_naive`]'s.
+    /// per-row support bitsets. The semiflow basis is identical to the seed's dense
+    /// elimination's.
     pub fn of_matrix(d: &IncidenceMatrix) -> Self {
         let nt = d.transition_count();
         let np = d.place_count();
@@ -143,38 +136,6 @@ impl InvariantAnalysis {
             })
             .collect();
         let (p_semiflows, p_complete) = farkas_sparse(&p_rows, np);
-        InvariantAnalysis {
-            t_semiflows,
-            p_semiflows,
-            complete: t_complete && p_complete,
-        }
-    }
-
-    /// Runs the analysis on a pre-computed incidence matrix with the seed's dense
-    /// `Vec<Vec<i128>>` elimination — the reference oracle for
-    /// [`InvariantAnalysis::of_matrix`], retained verbatim and pinned to identical
-    /// semiflow bases by the seeded equivalence suite.
-    pub fn of_matrix_naive(d: &IncidenceMatrix) -> Self {
-        let nt = d.transition_count();
-        let np = d.place_count();
-        // Row i of `t_rows` is transition i's row of D.
-        let t_rows: Vec<Vec<i128>> = (0..nt)
-            .map(|t| {
-                (0..np)
-                    .map(|p| d.entry(TransitionId::new(t), crate::PlaceId::new(p)) as i128)
-                    .collect()
-            })
-            .collect();
-        let (t_semiflows, t_complete) = farkas(&t_rows);
-        // For P-semiflows solve D · y = 0, i.e. run Farkas on the transpose.
-        let p_rows: Vec<Vec<i128>> = (0..np)
-            .map(|p| {
-                (0..nt)
-                    .map(|t| d.entry(TransitionId::new(t), crate::PlaceId::new(p)) as i128)
-                    .collect()
-            })
-            .collect();
-        let (p_semiflows, p_complete) = farkas(&p_rows);
         InvariantAnalysis {
             t_semiflows,
             p_semiflows,
@@ -257,74 +218,6 @@ impl InvariantAnalysis {
             None
         }
     }
-}
-
-/// Computes the minimal semi-positive solutions of `x · rows = 0` (one unknown per row)
-/// with the Farkas algorithm. Returns the semiflows and whether the computation stayed
-/// within the row budget.
-fn farkas(rows: &[Vec<i128>]) -> (Vec<Semiflow>, bool) {
-    let n = rows.len();
-    if n == 0 {
-        return (Vec::new(), true);
-    }
-    let m = rows[0].len();
-    // Each working row is (d_part, id_part).
-    let mut work: Vec<(Vec<i128>, Vec<i128>)> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let mut id = vec![0i128; n];
-            id[i] = 1;
-            (r.clone(), id)
-        })
-        .collect();
-    let mut complete = true;
-
-    for col in 0..m {
-        let mut next: Vec<(Vec<i128>, Vec<i128>)> = Vec::new();
-        let (zeros, nonzeros): (Vec<_>, Vec<_>) = work.into_iter().partition(|(d, _)| d[col] == 0);
-        next.extend(zeros);
-        let positives: Vec<&(Vec<i128>, Vec<i128>)> =
-            nonzeros.iter().filter(|(d, _)| d[col] > 0).collect();
-        let negatives: Vec<&(Vec<i128>, Vec<i128>)> =
-            nonzeros.iter().filter(|(d, _)| d[col] < 0).collect();
-        for pos in &positives {
-            for neg in &negatives {
-                let a = pos.0[col];
-                let b = -neg.0[col];
-                let d: Vec<i128> = (0..m).map(|j| b * pos.0[j] + a * neg.0[j]).collect();
-                let id: Vec<i128> = (0..n).map(|j| b * pos.1[j] + a * neg.1[j]).collect();
-                let (mut d, mut id) = (d, id);
-                normalise(&mut d, &mut id);
-                next.push((d, id));
-                if next.len() > FARKAS_ROW_LIMIT {
-                    complete = false;
-                    break;
-                }
-            }
-            if !complete {
-                break;
-            }
-        }
-        // Prune rows whose identity-part support strictly contains another row's support;
-        // only minimal-support rows can yield minimal semiflows.
-        next = prune_non_minimal(next);
-        work = next;
-        if !complete {
-            break;
-        }
-    }
-
-    let mut flows: Vec<Semiflow> = work
-        .into_iter()
-        .filter(|(d, id)| d.iter().all(|&v| v == 0) && id.iter().any(|&v| v > 0))
-        .map(|(_, id)| Semiflow {
-            vector: id.iter().map(|&v| v as u64).collect(),
-        })
-        .collect();
-    flows.sort_by(|a, b| a.vector.cmp(&b.vector));
-    flows.dedup();
-    (prune_non_minimal_flows(flows), complete)
 }
 
 /// One working row of the sparse elimination: the remaining matrix part and the
@@ -448,8 +341,7 @@ fn bitset_strict_subset(small: &[u64], big: &[u64]) -> bool {
 
 /// Sparse fraction-free Farkas: computes the minimal semi-positive solutions of
 /// `x · rows = 0` (one unknown per row, columns indexed up to the largest index present).
-/// Returns the semiflows and whether the computation stayed within the row budget. The
-/// result is identical to the dense [`farkas`]'s.
+/// Returns the semiflows and whether the computation stayed within the row budget.
 pub(crate) fn farkas_sparse(rows: &[Vec<(u32, i128)>], n: usize) -> (Vec<Semiflow>, bool) {
     if n == 0 {
         return (Vec::new(), true);
@@ -584,21 +476,6 @@ pub(crate) fn farkas_sparse(rows: &[Vec<(u32, i128)>], n: usize) -> (Vec<Semiflo
     (prune_non_minimal_flows(flows), complete)
 }
 
-fn normalise(d: &mut [i128], id: &mut [i128]) {
-    let mut g: i128 = 0;
-    for &v in d.iter().chain(id.iter()) {
-        g = gcd(g, v.abs());
-    }
-    if g > 1 {
-        for v in d.iter_mut() {
-            *v /= g;
-        }
-        for v in id.iter_mut() {
-            *v /= g;
-        }
-    }
-}
-
 fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
@@ -607,40 +484,6 @@ fn gcd(a: i128, b: i128) -> i128 {
         b = r;
     }
     a
-}
-
-fn support(v: &[i128]) -> Vec<usize> {
-    v.iter()
-        .enumerate()
-        .filter(|&(_, &x)| x != 0)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-fn prune_non_minimal(rows: Vec<(Vec<i128>, Vec<i128>)>) -> Vec<(Vec<i128>, Vec<i128>)> {
-    let supports: Vec<Vec<usize>> = rows.iter().map(|(_, id)| support(id)).collect();
-    let mut keep = vec![true; rows.len()];
-    for i in 0..rows.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..rows.len() {
-            if i == j || !keep[i] || !keep[j] {
-                continue;
-            }
-            // If support(j) is a strict subset of support(i), row i is not minimal.
-            if supports[j].len() < supports[i].len()
-                && supports[j].iter().all(|x| supports[i].contains(x))
-            {
-                keep[i] = false;
-            }
-        }
-    }
-    rows.into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(r, _)| r)
-        .collect()
 }
 
 fn prune_non_minimal_flows(flows: Vec<Semiflow>) -> Vec<Semiflow> {

@@ -34,7 +34,7 @@ pub use invariants::{
 };
 pub use liveness::{check_liveness, check_liveness_in, check_liveness_with, LivenessReport};
 pub use rational::{gcd_u64, lcm_u64, smallest_integer_vector, Rational};
-pub use reachability::{ReachabilityEdge, ReachabilityGraph, ReachabilityOptions};
+pub use reachability::ReachabilityOptions;
 pub use siphons::{
     is_siphon, is_trap, largest_siphon_within, maximal_trap_within, minimal_siphons, PlaceSet,
     SiphonAnalysis,

@@ -855,31 +855,6 @@ impl StateSpace {
         trace.reverse();
         trace
     }
-
-    pub(crate) fn into_parts(self) -> StateSpaceParts {
-        StateSpaceParts {
-            places: self.places,
-            arena: self.arena,
-            table: self.table,
-            fwd_offsets: self.fwd_offsets,
-            edge_to: self.edge_to,
-            edge_transition: self.edge_transition,
-            complete: self.complete,
-            frontier: self.frontier,
-        }
-    }
-}
-
-/// Raw pieces handed to the `ReachabilityGraph` compatibility view.
-pub(crate) struct StateSpaceParts {
-    pub places: usize,
-    pub arena: Vec<u64>,
-    pub table: SliceTable,
-    pub fwd_offsets: Vec<u32>,
-    pub edge_to: Vec<u32>,
-    pub edge_transition: Vec<u32>,
-    pub complete: bool,
-    pub frontier: Vec<StateId>,
 }
 
 #[cfg(test)]

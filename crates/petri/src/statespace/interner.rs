@@ -17,7 +17,6 @@
 
 use super::arena::TokenWord;
 use super::{hash_tokens, StateId, EMPTY_SLOT};
-use crate::Marking;
 
 /// Open-addressing interner mapping token slices to state ids.
 ///
@@ -118,21 +117,6 @@ impl SliceTable {
             entries[slot] = (h, id);
         }
         self.entries = entries;
-    }
-
-    /// Builds a table over markings already held in a `Vec<Marking>` (used by the
-    /// compatibility view and the naive explorer).
-    pub(crate) fn index_markings(markings: &[Marking]) -> Self {
-        let mut table = SliceTable::with_capacity(markings.len().max(1));
-        for (i, m) in markings.iter().enumerate() {
-            let hash = hash_tokens(m.as_slice());
-            if let Probe::Vacant(slot) =
-                table.probe(hash, m.as_slice(), |id| markings[id as usize].as_slice())
-            {
-                table.insert_at(slot, hash, i as u32);
-            }
-        }
-        table
     }
 
     /// Looks `tokens` up against externally stored markings.

@@ -1,10 +1,10 @@
 //! The arena-interned state-space engine.
 //!
 //! This module is the performance substrate behind every explicit-state analysis in the
-//! crate (reachability, deadlock, liveness, schedule validation). Where the naive
-//! explorer ([`ReachabilityGraph::explore_naive`](crate::analysis::ReachabilityGraph::explore_naive))
-//! clones a full [`Marking`](crate::Marking) per expansion and hashes whole token vectors
-//! into a `HashMap<Marking, usize>`, the engine here:
+//! crate (reachability, deadlock, liveness, schedule validation). Where the seed
+//! explorer (the test and bench oracle `fcpn_bench::oracle::explore_naive`) clones
+//! a full [`Marking`](crate::Marking) per expansion and hashes whole token vectors into
+//! a `HashMap<Marking, usize>`, the engine here:
 //!
 //! * stores every discovered marking contiguously in **one flat token arena**, addressed
 //!   by dense `u32` state ids — no per-state allocation, no pointer chasing;
@@ -35,7 +35,7 @@
 //! accepted and ignored.
 //!
 //! The exploration order and truncation semantics (state budget, per-place token
-//! cut-off) are **bit-for-bit identical** to the naive explorer for every token width:
+//! cut-off) are **bit-for-bit identical** to the seed explorer's for every token width:
 //! all variants assign the same state ids, discover the same edges in the same order
 //! and report the same frontier. `tests/properties.rs` holds that equivalence over the
 //! gallery nets and randomly generated nets.
@@ -77,7 +77,7 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 }
 
 /// Per-place Zobrist-style multiplier, a pure function of the place index so every
-/// component (explorer, arena, compatibility view, firing session) hashes markings
+/// component (explorer, arena, coverability interner, firing session) hashes markings
 /// identically without sharing state.
 #[inline]
 pub(crate) fn place_key(place: usize) -> u64 {

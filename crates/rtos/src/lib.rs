@@ -7,9 +7,8 @@
 //! implementation and [`simulate_functional_partition`] for the per-module baseline —
 //! whose outputs feed the Table I comparison in `fcpn-atm`. The functional baseline
 //! plays the token game on the `fcpn_petri::statespace::FiringSession` fast path; the
-//! seed marking-by-marking loop is retained as
-//! [`simulate_functional_partition_naive`], the reference the fast path is pinned
-//! against.
+//! seed marking-by-marking loop it replaced is the oracle
+//! `fcpn_bench::oracle::simulate_functional_partition_naive`.
 //!
 //! ```
 //! use fcpn_petri::gallery;
@@ -43,9 +42,8 @@ pub use cost::CostModel;
 pub use error::{Result, RtosError};
 pub use event::{Event, Workload};
 pub use sim::{
-    simulate_functional_partition, simulate_functional_partition_naive, simulate_program,
-    simulate_program_with, ExecBackend, FunctionalSimBatch, FunctionalTask, SimReport,
-    TaskActivation, DEFAULT_STEP_BUDGET,
+    simulate_functional_partition, simulate_program, simulate_program_with, ExecBackend,
+    FunctionalSimBatch, FunctionalTask, SimReport, TaskActivation, DEFAULT_STEP_BUDGET,
 };
 
 #[cfg(test)]

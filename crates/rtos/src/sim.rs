@@ -17,21 +17,22 @@
 //!
 //! The functional baseline plays the token game directly, so it is the hot loop of the
 //! Table I experiment: [`simulate_functional_partition`] runs it on the
-//! [`FiringSession`](fcpn_petri::statespace::FiringSession) firing fast path, while
-//! [`simulate_functional_partition_naive`] retains the seed marking-by-marking
-//! implementation as the reference oracle the fast path is pinned against.
+//! [`FiringSession`](fcpn_petri::statespace::FiringSession) firing fast path, and
+//! [`FunctionalSimBatch`] reuses one session across many workloads. The seed
+//! marking-by-marking simulator is the test and bench oracle
+//! `fcpn_bench::oracle::simulate_functional_partition_naive`; `tests/firing_session.rs`
+//! pins the fast path to its reports.
 //!
 //! # Example
 //!
-//! Both functional simulators produce identical reports (here with every transition in
-//! one task, so only transition and activation costs accrue):
+//! A functional partition with every transition in one task pays the activation
+//! overhead once per event, like a one-task QSS implementation:
 //!
 //! ```
 //! use fcpn_codegen::FixedResolver;
 //! use fcpn_petri::gallery;
 //! use fcpn_rtos::{
-//!     simulate_functional_partition, simulate_functional_partition_naive, CostModel,
-//!     FunctionalTask, Workload,
+//!     simulate_functional_partition, CostModel, FunctionalSimBatch, FunctionalTask, Workload,
 //! };
 //!
 //! # fn main() -> Result<(), fcpn_rtos::RtosError> {
@@ -42,12 +43,13 @@
 //! }];
 //! let workload = Workload::periodic(net.transition_by_name("t1").unwrap(), 10, 25, 0);
 //! let cost = CostModel::default();
-//! let fast = simulate_functional_partition(
+//! let report = simulate_functional_partition(
 //!     &net, &tasks, &cost, &workload, &mut FixedResolver::default())?;
-//! let naive = simulate_functional_partition_naive(
-//!     &net, &tasks, &cost, &workload, &mut FixedResolver::default())?;
-//! assert_eq!(fast, naive);
-//! assert_eq!(fast.events_processed, 25);
+//! assert_eq!(report.events_processed, 25);
+//! assert_eq!(report.activations, 25);
+//! // A reused batch reproduces the one-shot report.
+//! let mut batch = FunctionalSimBatch::new(&net, &tasks, &cost)?;
+//! assert_eq!(batch.run(&workload, &mut FixedResolver::default())?, report);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,7 +57,7 @@
 use crate::{CostModel, Event, Result, RtosError, Workload};
 use fcpn_codegen::{ChoiceResolver, CompiledProgram, ExecSession, Interpreter, Program};
 use fcpn_petri::statespace::{FiringSession, StateId};
-use fcpn_petri::{CancelToken, Marking, PetriNet, PlaceId, TransitionId};
+use fcpn_petri::{CancelToken, PetriNet, PlaceId, TransitionId};
 
 /// Which execution engine runs the synthesised tasks during
 /// [`simulate_program_with`].
@@ -290,9 +292,10 @@ fn task_owner_map(net: &PetriNet, tasks: &[FunctionalTask]) -> Result<Vec<usize>
 /// [`FiringSession`](fcpn_petri::statespace::FiringSession) (flat width-adaptive token
 /// buffer, delta-row firing, bitmask enabled-set queries into a reused buffer), so the
 /// cascade loop performs no per-step allocation and never scans transitions whose input
-/// places are all empty. The seed marking-by-marking implementation is retained as
-/// [`simulate_functional_partition_naive`] and the two are pinned to identical reports
-/// by tests here, in `fcpn-atm` and in `tests/firing_session.rs`.
+/// places are all empty. The seed marking-by-marking simulator it replaced is the
+/// oracle `fcpn_bench::oracle::simulate_functional_partition_naive`;
+/// `tests/firing_session.rs` and `tests/atm_case_study.rs` pin the two to identical
+/// reports.
 ///
 /// # Errors
 ///
@@ -564,129 +567,6 @@ impl<'a> FunctionalSimBatch<'a> {
     }
 }
 
-/// The seed marking-by-marking functional simulator, retained verbatim as the reference
-/// oracle for [`simulate_functional_partition`]: it clones an owned [`Marking`], fires
-/// through the checked [`PetriNet::fire`] path and rebuilds the enabled set with a full
-/// transition scan (and a fresh `Vec`) per cascade step. Property tests pin the fast
-/// path's reports bit-for-bit against this one.
-///
-/// # Errors
-///
-/// Same as [`simulate_functional_partition`].
-pub fn simulate_functional_partition_naive<R: ChoiceResolver + ?Sized>(
-    net: &PetriNet,
-    tasks: &[FunctionalTask],
-    cost: &CostModel,
-    workload: &Workload,
-    resolver: &mut R,
-) -> Result<SimReport> {
-    if workload.is_empty() {
-        return Err(RtosError::EmptyWorkload);
-    }
-    let owner = task_owner_map(net, tasks)?;
-    let mut per_task: Vec<TaskActivation> = tasks
-        .iter()
-        .map(|t| TaskActivation {
-            name: t.name.clone(),
-            activations: 0,
-            cycles: 0,
-        })
-        .collect();
-    let mut marking: Marking = net.initial_marking().clone();
-    let mut fire_counts = vec![0u64; net.transition_count()];
-    let mut total_cycles = 0u64;
-    let mut activations = 0u64;
-    let mut peak_buffer_tokens = marking.total_tokens();
-
-    for &Event { source, .. } in workload.events() {
-        let mut current_task: Option<usize> = None;
-        let mut fire = |t: TransitionId,
-                        marking: &mut Marking,
-                        current_task: &mut Option<usize>,
-                        per_task: &mut Vec<TaskActivation>|
-         -> Result<u64> {
-            let task = owner[t.index()];
-            let mut cycles = 0;
-            if *current_task != Some(task) {
-                cycles += cost.activation_overhead;
-                activations += 1;
-                per_task[task].activations += 1;
-                *current_task = Some(task);
-            }
-            cycles += cost.transition_cost(t);
-            if net.inputs(t).iter().any(|&(p, _)| net.is_choice_place(p)) {
-                cycles += cost.choice_cost;
-            }
-            net.fire(marking, t)
-                .map_err(|e| RtosError::Execution(fcpn_codegen::CodegenError::Petri(e)))?;
-            // Tokens produced into places consumed by a *different* task go through an
-            // inter-task queue.
-            for &(place, produced) in net.outputs(t) {
-                let crosses = net
-                    .consumers(place)
-                    .iter()
-                    .any(|&(consumer, _)| owner[consumer.index()] != task);
-                if crosses {
-                    cycles += cost.queue_transfer_cost * produced;
-                }
-            }
-            fire_counts[t.index()] += 1;
-            per_task[task].cycles += cycles;
-            Ok(cycles)
-        };
-
-        // The event fires its source transition, then the cascade runs to quiescence.
-        total_cycles += fire(source, &mut marking, &mut current_task, &mut per_task)?;
-        peak_buffer_tokens = peak_buffer_tokens.max(marking.total_tokens());
-        loop {
-            let enabled: Vec<TransitionId> = net
-                .transitions()
-                .filter(|&t| !net.is_source_transition(t) && net.is_enabled(&marking, t))
-                .collect();
-            if enabled.is_empty() {
-                break;
-            }
-            // Resolve data-dependent choices through the same resolver the QSS
-            // implementation uses, so both simulations see the same data.
-            let next = {
-                let choice = enabled
-                    .iter()
-                    .copied()
-                    .find(|&t| net.inputs(t).iter().any(|&(p, _)| net.is_choice_place(p)));
-                match choice {
-                    Some(conflicted) => {
-                        let place = net
-                            .inputs(conflicted)
-                            .iter()
-                            .map(|&(p, _)| p)
-                            .find(|&p| net.is_choice_place(p))
-                            .expect("conflicted transition has a choice input");
-                        let candidates: Vec<TransitionId> = net
-                            .consumers(place)
-                            .iter()
-                            .map(|&(t, _)| t)
-                            .filter(|t| enabled.contains(t))
-                            .collect();
-                        resolver.resolve(place, &candidates)
-                    }
-                    None => enabled[0],
-                }
-            };
-            total_cycles += fire(next, &mut marking, &mut current_task, &mut per_task)?;
-            peak_buffer_tokens = peak_buffer_tokens.max(marking.total_tokens());
-        }
-    }
-
-    Ok(SimReport {
-        total_cycles,
-        events_processed: workload.len(),
-        activations,
-        per_task,
-        fire_counts,
-        peak_buffer_tokens,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,50 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn functional_fast_path_matches_naive_reference() {
-        // The session-backed simulator and the seed marking-by-marking simulator must
-        // produce bit-for-bit identical reports: same cycles, same activations, same
-        // per-task breakdown, same peaks — on a workload that exercises choices, merges
-        // and both input rates.
-        let net = gallery::figure5();
-        let t1 = net.transition_by_name("t1").unwrap();
-        let t8 = net.transition_by_name("t8").unwrap();
-        let workload = Workload::periodic(t1, 10, 40, 0).merge(Workload::periodic(t8, 25, 16, 3));
-        let cost = CostModel::default();
-        let tasks = vec![
-            FunctionalTask {
-                name: "input".into(),
-                transitions: vec![
-                    t1,
-                    net.transition_by_name("t2").unwrap(),
-                    net.transition_by_name("t3").unwrap(),
-                ],
-            },
-            FunctionalTask {
-                name: "rest".into(),
-                transitions: net
-                    .transitions()
-                    .filter(|t| !["t1", "t2", "t3"].contains(&net.transition_name(*t)))
-                    .collect(),
-            },
-        ];
-        let mut fast_resolver = RoundRobinResolver::default();
-        let fast =
-            simulate_functional_partition(&net, &tasks, &cost, &workload, &mut fast_resolver)
-                .unwrap();
-        let mut naive_resolver = RoundRobinResolver::default();
-        let naive = simulate_functional_partition_naive(
-            &net,
-            &tasks,
-            &cost,
-            &workload,
-            &mut naive_resolver,
-        )
-        .unwrap();
-        assert_eq!(fast, naive);
-    }
-
-    #[test]
     fn batch_reuse_across_workloads_matches_fresh_runs() {
         // One FunctionalSimBatch rolled back between runs must reproduce, bit for bit,
         // what a fresh simulator produces for every workload — the contract the
@@ -1099,51 +935,5 @@ mod tests {
             a, b,
             "armed but never-firing token must not perturb the report"
         );
-    }
-
-    #[test]
-    fn batch_reuse_survives_token_width_widening() {
-        // The daemon's reuse pattern: one batch, many runs, on a net whose token counts
-        // saturate the narrow u8 arena mid-run (a place must accumulate 256 tokens
-        // before its consumer fires). The start checkpoint is recorded at u8 width;
-        // later runs roll back across the widening boundary and must still reproduce a
-        // fresh simulator bit for bit.
-        let mut b = fcpn_petri::NetBuilder::new("widening");
-        let t_in = b.transition("t_in");
-        let t_out = b.transition("t_out");
-        let t_sink = b.transition("t_sink");
-        let p = b.place("p", 0);
-        let q = b.place("q", 0);
-        b.arc_t_p(t_in, p, 1).unwrap();
-        b.arc_p_t(p, t_out, 256).unwrap();
-        b.arc_t_p(t_out, q, 1).unwrap();
-        b.arc_p_t(q, t_sink, 1).unwrap();
-        let net = b.build().unwrap();
-        let tasks = vec![FunctionalTask {
-            name: "all".into(),
-            transitions: net.transitions().collect(),
-        }];
-        let cost = CostModel::default();
-        let src = net.transition_by_name("t_in").unwrap();
-        let mut batch = FunctionalSimBatch::new(&net, &tasks, &cost).unwrap();
-        // 600 events push `p` through the u8 saturation point twice; 300 crosses once;
-        // 100 stays narrow. Interleave so rollback happens before, across and after the
-        // widening.
-        for events in [600usize, 100, 300, 600] {
-            let workload = Workload::periodic(src, 1, events, 0);
-            let mut batch_resolver = FixedResolver::default();
-            let from_batch = batch.run(&workload, &mut batch_resolver).unwrap();
-            let mut fresh_resolver = FixedResolver::default();
-            let fresh = simulate_functional_partition_naive(
-                &net,
-                &tasks,
-                &cost,
-                &workload,
-                &mut fresh_resolver,
-            )
-            .unwrap();
-            assert_eq!(from_batch, fresh, "{events} events diverged");
-            assert_eq!(from_batch.fires_of(src), events as u64);
-        }
     }
 }

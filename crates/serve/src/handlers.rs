@@ -954,8 +954,7 @@ fn analyze(
 
     if options.wants("reachability") {
         let space = space.as_ref().expect("explored above");
-        // Same numbers `ReachabilityGraph::from_statespace` would expose, read off the
-        // space directly so the deadlock/liveness checks can reuse it.
+        // Read off the explored space, which the deadlock/liveness checks reuse.
         results.push((
             "reachability".to_string(),
             Json::obj([

@@ -1,13 +1,64 @@
 //! Integration tests relating the behavioural analyses (coverability, boundedness,
 //! siphons, liveness) to the quasi-static scheduling verdicts: the two views must tell a
-//! consistent story about the same nets.
+//! consistent story about the same nets. The interned coverability build is also pinned
+//! here against the seed linear-scan build ([`oracle::build_coverability_naive`]).
 
 use fcpn::petri::analysis::{
     check_boundedness, find_deadlock, Boundedness, BoundednessOptions, CoverabilityGraph,
     CoverabilityOptions, DeadlockReport, ReachabilityOptions, SiphonAnalysis,
 };
-use fcpn::petri::{gallery, Marking, NetBuilder};
+use fcpn::petri::{gallery, Marking, NetBuilder, PetriNet};
 use fcpn::qss::{quasi_static_schedule, QssOptions};
+use fcpn_bench::oracle;
+
+#[test]
+fn interned_build_matches_naive_reference() {
+    let cases: Vec<(&str, PetriNet, CoverabilityOptions)> = vec![
+        (
+            "figure3b",
+            gallery::figure3b(),
+            CoverabilityOptions::default(),
+        ),
+        (
+            "figure5",
+            gallery::figure5(),
+            CoverabilityOptions::default(),
+        ),
+        (
+            "figure7",
+            gallery::figure7(),
+            CoverabilityOptions::default(),
+        ),
+        (
+            "marked_ring(8,4)",
+            gallery::marked_ring(8, 4),
+            CoverabilityOptions::default(),
+        ),
+        (
+            "choice_chain(3)",
+            gallery::choice_chain(3),
+            CoverabilityOptions::default(),
+        ),
+        (
+            "figure5-budget",
+            gallery::figure5(),
+            CoverabilityOptions { max_nodes: 5 },
+        ),
+    ];
+    for (label, net, options) in cases {
+        let interned = CoverabilityGraph::build(&net, options);
+        let naive = oracle::build_coverability_naive(&net, options);
+        // Node by node, place by place: the same ω-markings in the same order.
+        assert_eq!(interned.nodes.len(), naive.nodes.len(), "{label}: nodes");
+        for (id, (node, row)) in interned.nodes.iter().zip(&naive.nodes).enumerate() {
+            for p in net.places() {
+                assert_eq!(node.tokens(p), row[p.index()], "{label}: node {id}, {p:?}");
+            }
+        }
+        assert_eq!(interned.edges, naive.edges, "{label}: edges");
+        assert_eq!(interned.complete, naive.complete, "{label}: completeness");
+    }
+}
 
 #[test]
 fn open_nets_are_behaviourally_unbounded_but_quasi_statically_schedulable() {

@@ -3,7 +3,7 @@
 //! The full paper-sized experiment is exercised by `examples/table1.rs` and the
 //! `table1_qss_vs_functional` bench; the tests here keep the debug-profile run time low by
 //! using the small configuration for the end-to-end paths and the paper configuration
-//! only for structural checks.
+//! only for structural checks and the Table I pin against the seed functional simulator.
 
 use fcpn::atm::{
     boundary_places, functional_partition, generate_workload, run_table1, AtmChoicePolicy,
@@ -12,6 +12,7 @@ use fcpn::atm::{
 use fcpn::codegen::{synthesize, SynthesisOptions};
 use fcpn::qss::{quasi_static_schedule, QssOptions};
 use fcpn::rtos::{simulate_program, CostModel};
+use fcpn_bench::oracle::simulate_functional_partition_naive;
 
 #[test]
 fn paper_model_statistics_match_the_paper() {
@@ -75,4 +76,33 @@ fn functional_partition_matches_module_structure() {
     let discard_log = model.net.place_by_name("p_discard_log").unwrap();
     assert!(queues.contains(&wfq_req));
     assert!(queues.contains(&discard_log));
+}
+
+#[test]
+fn fast_path_table_is_identical_to_naive_table() {
+    // The acceptance bar for the firing fast path: Table I's functional report —
+    // cycles, activations, per-task breakdown, fire counts, peaks — is bit-for-bit the
+    // seed marking-by-marking simulator's on the same workload and policy seed.
+    // Checked on both model sizes and two seeds.
+    for config in [AtmConfig::small(), AtmConfig::paper()] {
+        let model = AtmModel::build(config).unwrap();
+        for seed in [1999, 7] {
+            let table_config = Table1Config {
+                seed,
+                ..Table1Config::default()
+            };
+            let fast = run_table1(&model, &table_config).unwrap();
+            let workload = generate_workload(&model, &table_config.traffic, seed);
+            let mut policy = AtmChoicePolicy::new(&model, table_config.traffic, seed);
+            let naive = simulate_functional_partition_naive(
+                &model.net,
+                &functional_partition(&model),
+                &table_config.cost,
+                &workload,
+                &mut policy,
+            )
+            .unwrap();
+            assert_eq!(fast.functional_report, naive);
+        }
+    }
 }

@@ -7,16 +7,18 @@
 //! enabled sets, firing errors, token totals — must be *bit-for-bit identical* to the
 //! seed token game (`PetriNet::fire` on an owned `Marking` plus
 //! `enabled_transitions`). The random-trace loop here drives both sides in lockstep
-//! from seeded PRNGs, and the RTOS-level test pins the session-backed functional
-//! simulator against the retained naive simulator on random partitionings.
+//! from seeded PRNGs, and the RTOS-level tests pin the session-backed functional
+//! simulator against the seed simulator ([`simulate_functional_partition_naive`]) on
+//! random partitionings, on a
+//! two-task figure 5 partition and across a reused batch's token-width widening.
 
-use fcpn::codegen::RoundRobinResolver;
+use fcpn::codegen::{FixedResolver, RoundRobinResolver};
 use fcpn::petri::statespace::{FiringSession, TokenWidth};
 use fcpn::petri::{gallery, Marking, NetBuilder, PetriNet, TransitionId};
 use fcpn::rtos::{
-    simulate_functional_partition, simulate_functional_partition_naive, CostModel, FunctionalTask,
-    Workload,
+    simulate_functional_partition, CostModel, FunctionalSimBatch, FunctionalTask, Workload,
 };
+use fcpn_bench::oracle::simulate_functional_partition_naive;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -288,5 +290,89 @@ fn functional_simulator_fast_path_matches_naive_on_random_partitions() {
             (Err(f), Err(n)) => assert_eq!(f, n, "errors diverged at seed {seed}"),
             (f, n) => panic!("outcomes diverged at seed {seed}: {f:?} vs {n:?}"),
         }
+    }
+}
+
+#[test]
+fn functional_fast_path_matches_naive_reference() {
+    // The session-backed simulator and the seed marking-by-marking simulator must
+    // produce bit-for-bit identical reports: same cycles, same activations, same
+    // per-task breakdown, same peaks — on a workload that exercises choices, merges
+    // and both input rates.
+    let net = gallery::figure5();
+    let t1 = net.transition_by_name("t1").unwrap();
+    let t8 = net.transition_by_name("t8").unwrap();
+    let workload = Workload::periodic(t1, 10, 40, 0).merge(Workload::periodic(t8, 25, 16, 3));
+    let cost = CostModel::default();
+    let tasks = vec![
+        FunctionalTask {
+            name: "input".into(),
+            transitions: vec![
+                t1,
+                net.transition_by_name("t2").unwrap(),
+                net.transition_by_name("t3").unwrap(),
+            ],
+        },
+        FunctionalTask {
+            name: "rest".into(),
+            transitions: net
+                .transitions()
+                .filter(|t| !["t1", "t2", "t3"].contains(&net.transition_name(*t)))
+                .collect(),
+        },
+    ];
+    let mut fast_resolver = RoundRobinResolver::default();
+    let fast =
+        simulate_functional_partition(&net, &tasks, &cost, &workload, &mut fast_resolver).unwrap();
+    let mut naive_resolver = RoundRobinResolver::default();
+    let naive =
+        simulate_functional_partition_naive(&net, &tasks, &cost, &workload, &mut naive_resolver)
+            .unwrap();
+    assert_eq!(fast, naive);
+}
+
+#[test]
+fn batch_reuse_survives_token_width_widening() {
+    // The daemon's reuse pattern: one batch, many runs, on a net whose token counts
+    // saturate the narrow u8 arena mid-run (a place must accumulate 256 tokens
+    // before its consumer fires). The start checkpoint is recorded at u8 width;
+    // later runs roll back across the widening boundary and must still reproduce a
+    // fresh seed simulator bit for bit.
+    let mut b = NetBuilder::new("widening");
+    let t_in = b.transition("t_in");
+    let t_out = b.transition("t_out");
+    let t_sink = b.transition("t_sink");
+    let p = b.place("p", 0);
+    let q = b.place("q", 0);
+    b.arc_t_p(t_in, p, 1).unwrap();
+    b.arc_p_t(p, t_out, 256).unwrap();
+    b.arc_t_p(t_out, q, 1).unwrap();
+    b.arc_p_t(q, t_sink, 1).unwrap();
+    let net = b.build().unwrap();
+    let tasks = vec![FunctionalTask {
+        name: "all".into(),
+        transitions: net.transitions().collect(),
+    }];
+    let cost = CostModel::default();
+    let src = net.transition_by_name("t_in").unwrap();
+    let mut batch = FunctionalSimBatch::new(&net, &tasks, &cost).unwrap();
+    // 600 events push `p` through the u8 saturation point twice; 300 crosses once;
+    // 100 stays narrow. Interleave so rollback happens before, across and after the
+    // widening.
+    for events in [600usize, 100, 300, 600] {
+        let workload = Workload::periodic(src, 1, events, 0);
+        let mut batch_resolver = FixedResolver::default();
+        let from_batch = batch.run(&workload, &mut batch_resolver).unwrap();
+        let mut fresh_resolver = FixedResolver::default();
+        let fresh = simulate_functional_partition_naive(
+            &net,
+            &tasks,
+            &cost,
+            &workload,
+            &mut fresh_resolver,
+        )
+        .unwrap();
+        assert_eq!(from_batch, fresh, "{events} events diverged");
+        assert_eq!(from_batch.fires_of(src), events as u64);
     }
 }

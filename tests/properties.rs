@@ -6,19 +6,18 @@
 //! the number of cycles equals the number of choice resolutions.
 //!
 //! The second half holds the state-space engine to its contract: the arena-interned
-//! explorer ([`StateSpace`]) must discover *exactly* the same markings, edges, frontier
-//! and dead markings as the retained naive reference explorer
-//! ([`ReachabilityGraph::explore_naive`]) on every gallery net and on randomly generated
-//! nets, bounded or truncated.
+//! explorer ([`StateSpace`]), at every token width, must discover *exactly* the same
+//! markings, edges, frontier and dead markings as the seed breadth-first explorer
+//! ([`oracle::explore_naive`]) on every gallery net and on randomly generated nets,
+//! bounded or truncated.
 
 use fcpn::codegen::{synthesize, Interpreter, SynthesisOptions};
-use fcpn::petri::analysis::{
-    IncidenceMatrix, InvariantAnalysis, ReachabilityGraph, ReachabilityOptions,
-};
+use fcpn::petri::analysis::{IncidenceMatrix, InvariantAnalysis, ReachabilityOptions};
 use fcpn::petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
 use fcpn::petri::{gallery, NetBuilder, PetriNet, PlaceId, TransitionId};
 use fcpn::qss::{quasi_static_schedule, QssOptions, QssOutcome};
 use fcpn::sdf::{FiringPolicy, SdfGraph};
+use fcpn_bench::oracle::{self, NaiveReachability};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -310,19 +309,19 @@ fn schedule_buffer_bounds_dominate_every_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// State-space engine vs. retained naive reference explorer.
+// State-space engine vs. the seed breadth-first explorer.
 // ---------------------------------------------------------------------------
 
 /// Dead markings computed the pre-engine way: a full successor scan per marking.
-fn naive_dead_markings(graph: &ReachabilityGraph) -> Vec<usize> {
+fn naive_dead_markings(graph: &NaiveReachability) -> Vec<usize> {
     (0..graph.markings.len())
-        .filter(|&i| graph.edges.iter().all(|e| e.from != i))
+        .filter(|&i| graph.edges.iter().all(|&(from, _, _)| from != i))
         .collect()
 }
 
 /// Backward reachability computed the pre-engine way: an O(V·E) edge-list fixpoint.
 fn naive_can_eventually_fire(
-    graph: &ReachabilityGraph,
+    graph: &NaiveReachability,
     net: &PetriNet,
     transition: TransitionId,
 ) -> Vec<bool> {
@@ -334,9 +333,9 @@ fn naive_can_eventually_fire(
     let mut changed = true;
     while changed {
         changed = false;
-        for e in &graph.edges {
-            if can[e.to] && !can[e.from] {
-                can[e.from] = true;
+        for &(from, _, to) in &graph.edges {
+            if can[to] && !can[from] {
+                can[from] = true;
                 changed = true;
             }
         }
@@ -344,67 +343,69 @@ fn naive_can_eventually_fire(
     can
 }
 
-/// Asserts the engine and the naive explorer agree bit-for-bit on `net`: same markings in
-/// the same discovery order, same edges, same completeness/frontier, same dead markings
-/// and the same backward-reachability verdicts for every transition.
+/// Asserts the engine, at every token width, and the naive explorer agree bit-for-bit on
+/// `net`: same markings in the same discovery order, same edges, same
+/// completeness/frontier, same dead markings, same largest token count and the same
+/// backward-reachability verdicts for every transition; every marking is found again
+/// through the engine's interner.
 fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &str) {
-    let naive = ReachabilityGraph::explore_naive(net, options);
-    let view = ReachabilityGraph::explore(net, options);
-    assert_eq!(
-        view, naive,
-        "{label}: compatibility view differs from naive explorer"
-    );
-
-    let space = StateSpace::explore(net, options);
-    assert_eq!(
-        space.state_count(),
-        naive.marking_count(),
-        "{label}: state count"
-    );
-    assert_eq!(space.edge_count(), naive.edges.len(), "{label}: edge count");
-    assert_eq!(space.is_complete(), naive.complete, "{label}: completeness");
-    for (id, tokens) in space.states().enumerate() {
-        assert_eq!(
-            tokens,
-            naive.markings[id].as_slice(),
-            "{label}: marking {id}"
-        );
-    }
-    let engine_edges: Vec<(usize, TransitionId, usize)> = space
-        .edges()
-        .map(|(from, t, to)| (from as usize, t, to as usize))
-        .collect();
-    let naive_edges: Vec<(usize, TransitionId, usize)> = naive
-        .edges
+    let naive = oracle::explore_naive(net, options);
+    let naive_dead = naive_dead_markings(&naive);
+    let naive_max = naive
+        .markings
         .iter()
-        .map(|e| (e.from, e.transition, e.to))
-        .collect();
-    assert_eq!(engine_edges, naive_edges, "{label}: edges");
-    let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
-    assert_eq!(engine_frontier, naive.frontier, "{label}: frontier");
-    let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
-    assert_eq!(
-        engine_dead,
-        naive_dead_markings(&naive),
-        "{label}: dead markings"
-    );
-    for t in net.transitions() {
-        assert_eq!(
-            space.can_eventually_fire(net, t),
-            naive_can_eventually_fire(&naive, net, t),
-            "{label}: can_eventually_fire({t:?})"
+        .map(|m| m.max_tokens())
+        .max()
+        .unwrap_or(0);
+    for width in [
+        TokenWidth::U8,
+        TokenWidth::U16,
+        TokenWidth::U64,
+        TokenWidth::Auto,
+    ] {
+        let space = StateSpace::explore_with(
+            net,
+            &ExploreOptions {
+                reach: options,
+                width,
+                ..ExploreOptions::default()
+            },
         );
-    }
-    // Every discovered marking must be findable through the interner, both in the raw
-    // engine and in the compatibility view.
-    for id in 0..space.state_count() {
-        let marking = space.marking(id as u32);
+        let tag = format!("{label} [{width:?}]");
         assert_eq!(
-            space.index_of(&marking),
-            Some(id as u32),
-            "{label}: engine lookup"
+            space.state_count(),
+            naive.markings.len(),
+            "{tag}: state count"
         );
-        assert_eq!(view.index_of(&marking), Some(id), "{label}: view lookup");
+        assert_eq!(space.edge_count(), naive.edges.len(), "{tag}: edge count");
+        assert_eq!(space.is_complete(), naive.complete, "{tag}: completeness");
+        for (id, tokens) in space.states().enumerate() {
+            assert_eq!(tokens, naive.markings[id].as_slice(), "{tag}: marking {id}");
+        }
+        let engine_edges: Vec<(usize, TransitionId, usize)> = space
+            .edges()
+            .map(|(from, t, to)| (from as usize, t, to as usize))
+            .collect();
+        assert_eq!(engine_edges, naive.edges, "{tag}: edges");
+        let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
+        assert_eq!(engine_frontier, naive.frontier, "{tag}: frontier");
+        let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
+        assert_eq!(engine_dead, naive_dead, "{tag}: dead markings");
+        assert_eq!(space.max_tokens_observed(), naive_max, "{tag}: max tokens");
+        for t in net.transitions() {
+            assert_eq!(
+                space.can_eventually_fire(net, t),
+                naive_can_eventually_fire(&naive, net, t),
+                "{tag}: can_eventually_fire({t:?})"
+            );
+        }
+        for (id, marking) in naive.markings.iter().enumerate() {
+            assert_eq!(
+                space.index_of(marking),
+                Some(id as u32),
+                "{tag}: interner lookup"
+            );
+        }
     }
 }
 
@@ -499,6 +500,22 @@ fn truncated() -> ReachabilityOptions {
         max_markings: 3_000,
         max_tokens_per_place: 5,
     }
+}
+
+#[test]
+fn engine_and_naive_agree_on_cycle() {
+    // p1 -> t1 -> p2 -> t2 -> p1 with one token: two reachable markings.
+    let mut b = NetBuilder::new("cycle");
+    let p1 = b.place("p1", 1);
+    let t1 = b.transition("t1");
+    let p2 = b.place("p2", 0);
+    let t2 = b.transition("t2");
+    b.arc_p_t(p1, t1, 1).unwrap();
+    b.arc_t_p(t1, p2, 1).unwrap();
+    b.arc_p_t(p2, t2, 1).unwrap();
+    b.arc_t_p(t2, p1, 1).unwrap();
+    let net = b.build().unwrap();
+    assert_engines_agree(&net, ReachabilityOptions::default(), "cycle");
 }
 
 #[test]

@@ -6,22 +6,26 @@
 //! include source transitions, sink transitions and weighted (multirate) arcs:
 //!
 //! * [`InvariantAnalysis::of_matrix`] (sparse fraction-free Farkas) versus
-//!   [`InvariantAnalysis::of_matrix_naive`] (the seed's dense rational-free
+//!   [`oracle::invariants_of_matrix_naive`] (the seed's dense rational-free
 //!   elimination) — identical T- and P-semiflow bases;
 //! * [`TReduction::compute_in`] on a reused [`ReductionWorkspace`] (and the gray-code
 //!   allocation sweep feeding it) versus [`TReduction::compute`] — identical reduced
 //!   nets, maps and traces;
+//! * [`oracle::check_component_naive_with`] (the seed component check: `Vec<u64>`
+//!   signature cache, dense Farkas) versus [`check_component`] — identical verdicts on
+//!   every gallery allocation;
 //! * [`quasi_static_schedule`] (the gray sweep, sorted back into seed order) versus
-//!   [`quasi_static_schedule_naive`] (the retained seed pipeline) — bit-for-bit
+//!   [`oracle::quasi_static_schedule_naive`] (the seed pipeline) — bit-for-bit
 //!   identical outcomes: verdicts, cycle order, diagnostics order.
 
 use fcpn::petri::analysis::{IncidenceMatrix, InvariantAnalysis};
 use fcpn::petri::{gallery, NetBuilder, PetriNet, PlaceId, TransitionId};
 use fcpn::qss::{
-    allocation_iter, allocation_iter_gray, check_component, quasi_static_schedule,
-    quasi_static_schedule_naive, AllocationOptions, ComponentCache, ComponentChecker, QssOptions,
+    allocation_iter, allocation_iter_gray, check_component, enumerate_allocations,
+    quasi_static_schedule, AllocationOptions, ComponentCache, ComponentChecker, QssOptions,
     ReductionWorkspace, TAllocation, TReduction,
 };
+use fcpn_bench::oracle::{self, NaiveComponentCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,7 +114,7 @@ fn gallery_nets() -> Vec<PetriNet> {
 fn assert_invariants_equal(net: &PetriNet, label: &str) {
     let d = IncidenceMatrix::from_net(net);
     let sparse = InvariantAnalysis::of_matrix(&d);
-    let naive = InvariantAnalysis::of_matrix_naive(&d);
+    let naive = oracle::invariants_of_matrix_naive(&d);
     assert_eq!(
         sparse.t_semiflows, naive.t_semiflows,
         "{label}: T-semiflows"
@@ -227,11 +231,35 @@ fn checker_verdicts_match_seed_on_random_free_choice_nets() {
     }
 }
 
+#[test]
+fn naive_component_check_matches_check_component_on_every_gallery_allocation() {
+    // The seed component check (one shared `Vec<u64>`-keyed cache, dense Farkas) must
+    // give the reduction-driven check's verdict on every allocation, across
+    // schedulable and failing nets.
+    for net in [
+        gallery::figure2(),
+        gallery::figure3a(),
+        gallery::figure3b(),
+        gallery::figure4(),
+        gallery::figure5(),
+        gallery::figure7(),
+        gallery::choice_chain(4),
+    ] {
+        let mut naive_cache = NaiveComponentCache::default();
+        for allocation in enumerate_allocations(&net, AllocationOptions::default()).unwrap() {
+            let reduction = TReduction::compute(&net, allocation).unwrap();
+            let reference = check_component(&net, &reduction);
+            let naive = oracle::check_component_naive_with(&net, &reduction, &mut naive_cache);
+            assert_eq!(reference, naive, "net {}", net.name());
+        }
+    }
+}
+
 /// The full pipeline matrix on one net: the seed pipeline versus the production one,
 /// cached and uncached, with an armed token and with a roomy budget — every outcome
 /// bit-for-bit identical.
 fn assert_schedules_equal(net: &PetriNet, label: &str) {
-    let naive = quasi_static_schedule_naive(net, &QssOptions::default()).expect(label);
+    let naive = oracle::quasi_static_schedule_naive(net, &QssOptions::default()).expect(label);
     for reuse_component_cache in [true, false] {
         let options = QssOptions {
             reuse_component_cache,
