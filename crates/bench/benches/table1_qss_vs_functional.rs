@@ -4,8 +4,8 @@
 //!
 //! `--seeds N` switches to the Monte-Carlo mode: the functional baseline is re-simulated
 //! under `N` different traffic seeds on **one** [`FunctionalSimBatch`] — the firing
-//! session and cost tables are built once and the session is restored through its
-//! checkpoint arena between seeds — and the per-seed median wall times are reported
+//! session and cost tables are built once and the session is reset to the initial
+//! marking between seeds — and the per-seed median wall times are reported
 //! (each seed's runs are verified bit-for-bit against a fresh simulator first):
 //!
 //! ```text
@@ -98,7 +98,7 @@ fn run_seed_sweep(n: u64) {
     let base_seed = 1999u64;
     for seed in (0..n).map(|i| base_seed + i) {
         let workload = generate_workload(&model, &traffic, seed);
-        // Equivalence gate per seed: the rolled-back shared session must reproduce a
+        // Equivalence gate per seed: the reset shared session must reproduce a
         // fresh simulator's report exactly before anything is timed.
         let mut batch_policy = AtmChoicePolicy::new(&model, traffic, seed);
         let report = batch.run(&workload, &mut batch_policy).expect("simulation");

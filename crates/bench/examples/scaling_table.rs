@@ -14,6 +14,8 @@
 //! Schema v9 drops the scheduler's `threads` rows and the explore engine rows'
 //! constant `"threads": 1`: the scheduler's allocation sweep and the explorer both run
 //! on the calling thread. `host_cores` stays, to say what host the rows were taken on.
+//! The engine stores `u64` tokens only, so each explore case has one engine row, with
+//! `"token_width": "u64"` and a `speedup_vs_seq_u64` of 1; the keys are unchanged.
 //!
 //! Schema v8 drops the `server` section that v5 added: the repository benchmark
 //! (`perfbench/`, declared in `BENCHMARK.json`) measures the daemon end to end and
@@ -58,7 +60,7 @@ use fcpn_bench::{
 };
 use fcpn_codegen::{CodeMetrics, CompiledProgram};
 use fcpn_petri::analysis::{IncidenceMatrix, InvariantAnalysis, ReachabilityOptions};
-use fcpn_petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+use fcpn_petri::statespace::StateSpace;
 use fcpn_petri::synthesis::{synthesize, Lts, SynthesisOptions};
 use fcpn_petri::{gallery, PetriNet};
 use fcpn_qss::{
@@ -75,15 +77,6 @@ struct ExploreCase {
     options: ReachabilityOptions,
 }
 
-struct EngineRow {
-    /// Resolved width name (`Auto` resolves at explore time).
-    width: &'static str,
-    best_ms: f64,
-    speedup_vs_naive: f64,
-    /// Median per-round ratio against the sequential u64 engine (the PR 1 baseline).
-    speedup_vs_seq_u64: f64,
-}
-
 struct ExploreRow {
     label: &'static str,
     options: ReachabilityOptions,
@@ -91,7 +84,9 @@ struct ExploreRow {
     edges: usize,
     complete: bool,
     naive_ms: f64,
-    engine: Vec<EngineRow>,
+    engine_ms: f64,
+    /// Median per-round ratio of the naive explorer's time to the engine's.
+    speedup_vs_naive: f64,
 }
 
 fn samples() -> usize {
@@ -150,10 +145,6 @@ fn measure_synthesis(label: &'static str, net: &PetriNet) -> SynthesisRow {
 }
 
 fn measure_explore(case: &ExploreCase) -> ExploreRow {
-    // One engine row per width, next to the naive baseline; the first is the
-    // `speedup_vs_seq_u64` reference.
-    let widths = [TokenWidth::U64, TokenWidth::Auto];
-
     let reference = StateSpace::explore(&case.net, case.options);
     let (states, edges, complete) = (
         reference.state_count(),
@@ -162,47 +153,17 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
     );
     drop(reference);
 
-    // Interleaved rounds: one naive + one of each engine configuration per round. The
-    // resolved width name is captured from the first round's space rather than from
-    // extra untimed explorations.
+    // Interleaved rounds: one naive and one engine exploration per round.
     let mut naive_times: Vec<f64> = Vec::new();
-    let mut engine_times: Vec<Vec<f64>> = vec![Vec::new(); widths.len()];
-    let mut resolved_widths: Vec<&'static str> = vec![""; widths.len()];
+    let mut engine_times: Vec<f64> = Vec::new();
     for _ in 0..samples() {
         let start = Instant::now();
         black_box(oracle::explore_naive(black_box(&case.net), case.options));
         naive_times.push(start.elapsed().as_secs_f64());
-        for (i, &requested) in widths.iter().enumerate() {
-            let options = ExploreOptions {
-                reach: case.options,
-                width: requested,
-                ..ExploreOptions::default()
-            };
-            let start = Instant::now();
-            let space = StateSpace::explore_with(black_box(&case.net), &options);
-            let width = black_box(space.token_width());
-            drop(space);
-            engine_times[i].push(start.elapsed().as_secs_f64());
-            resolved_widths[i] = width.name();
-        }
+        let start = Instant::now();
+        black_box(StateSpace::explore(black_box(&case.net), case.options));
+        engine_times.push(start.elapsed().as_secs_f64());
     }
-
-    let engine = engine_times
-        .iter()
-        .zip(resolved_widths)
-        .map(|(times, width)| EngineRow {
-            width,
-            best_ms: times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
-            speedup_vs_naive: median(naive_times.iter().zip(times).map(|(n, e)| n / e).collect()),
-            speedup_vs_seq_u64: median(
-                engine_times[0]
-                    .iter()
-                    .zip(times)
-                    .map(|(u, e)| u / e)
-                    .collect(),
-            ),
-        })
-        .collect();
 
     ExploreRow {
         label: case.label,
@@ -211,7 +172,14 @@ fn measure_explore(case: &ExploreCase) -> ExploreRow {
         edges,
         complete,
         naive_ms: naive_times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
-        engine,
+        engine_ms: engine_times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
+        speedup_vs_naive: median(
+            naive_times
+                .iter()
+                .zip(&engine_times)
+                .map(|(n, e)| n / e)
+                .collect(),
+        ),
     }
 }
 
@@ -561,12 +529,10 @@ fn main() {
             "  {:<20} {:>7} states {:>8} edges  naive {:>9.3}ms",
             row.label, row.states, row.edges, row.naive_ms
         );
-        for engine in &row.engine {
-            eprintln!(
-                "    width={:<4} best {:>9.3}ms  vs naive {:>5.2}x  vs seq-u64 {:>5.2}x",
-                engine.width, engine.best_ms, engine.speedup_vs_naive, engine.speedup_vs_seq_u64
-            );
-        }
+        eprintln!(
+            "    engine best {:>9.3}ms  vs naive {:>5.2}x",
+            row.engine_ms, row.speedup_vs_naive
+        );
     }
 
     eprintln!(
@@ -767,17 +733,11 @@ fn main() {
             row.naive_ms,
         ));
         json.push_str("     \"engine\": [\n");
-        for (j, engine) in row.engine.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"token_width\": \"{}\", \"best_ms\": {:.3}, \
-                 \"speedup_vs_naive\": {:.2}, \"speedup_vs_seq_u64\": {:.2}}}{}\n",
-                engine.width,
-                engine.best_ms,
-                engine.speedup_vs_naive,
-                engine.speedup_vs_seq_u64,
-                if j + 1 < row.engine.len() { "," } else { "" }
-            ));
-        }
+        json.push_str(&format!(
+            "       {{\"token_width\": \"u64\", \"best_ms\": {:.3}, \
+             \"speedup_vs_naive\": {:.2}, \"speedup_vs_seq_u64\": 1.00}}\n",
+            row.engine_ms, row.speedup_vs_naive,
+        ));
         json.push_str(&format!(
             "     ]}}{}\n",
             if i + 1 < rows.len() { "," } else { "" }

@@ -82,7 +82,7 @@ pub fn run_naive_trace(net: &PetriNet, steps: usize) -> (u64, Marking) {
 }
 
 /// The same deterministic trace as [`run_naive_trace`], executed on the
-/// [`FiringSession`] fast path (flat width-adaptive buffer, delta-row firing, bitmask
+/// [`FiringSession`] fast path (flat `u64` token buffer, delta-row firing, bitmask
 /// enabled-set queries into a reused vector). The two functions fire the exact same
 /// sequence; benches time them head to head and tests assert the final markings agree.
 pub fn run_session_trace(net: &PetriNet, steps: usize) -> (u64, Marking) {

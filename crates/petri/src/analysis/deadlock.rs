@@ -36,8 +36,8 @@ pub fn find_deadlock(net: &PetriNet, options: ReachabilityOptions) -> DeadlockRe
     find_deadlock_with(net, &ExploreOptions::from(options))
 }
 
-/// [`find_deadlock`] with explicit engine configuration (token-arena width and the
-/// cancellation and memory guards); the verdict is identical for every token width.
+/// [`find_deadlock`] with explicit engine configuration (the cancellation and memory
+/// guards).
 pub fn find_deadlock_with(net: &PetriNet, options: &ExploreOptions) -> DeadlockReport {
     find_deadlock_in(net, &StateSpace::explore_with(net, options))
 }

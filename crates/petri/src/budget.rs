@@ -24,9 +24,8 @@
 //!
 //! Determinism: charges the engines issue are pure functions of the canonical
 //! exploration (the cost model below), so the same net under the same budget fails at
-//! the same stage with the same error, whatever the token width. An
-//! armed budget that is never exhausted perturbs nothing: outputs are bit-for-bit
-//! identical to the unlimited default.
+//! the same stage with the same error. An armed budget that is never exhausted perturbs
+//! nothing: outputs are bit-for-bit identical to the unlimited default.
 
 use std::error::Error;
 use std::fmt;

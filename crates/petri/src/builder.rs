@@ -85,8 +85,8 @@ impl NetBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the weight is zero, either endpoint is unknown, or the arc was
-    /// already declared.
+    /// Returns an error if the weight is zero or above `i64::MAX`, either endpoint is
+    /// unknown, or the arc was already declared.
     pub fn arc_p_t(&mut self, place: PlaceId, transition: TransitionId, weight: u64) -> Result<()> {
         self.check(place, transition, weight)?;
         if self
@@ -104,8 +104,8 @@ impl NetBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the weight is zero, either endpoint is unknown, or the arc was
-    /// already declared.
+    /// Returns an error if the weight is zero or above `i64::MAX`, either endpoint is
+    /// unknown, or the arc was already declared.
     pub fn arc_t_p(&mut self, transition: TransitionId, place: PlaceId, weight: u64) -> Result<()> {
         self.check(place, transition, weight)?;
         if self
@@ -164,6 +164,9 @@ impl NetBuilder {
     fn check(&self, place: PlaceId, transition: TransitionId, weight: u64) -> Result<()> {
         if weight == 0 {
             return Err(PetriError::ZeroWeightArc);
+        }
+        if i64::try_from(weight).is_err() {
+            return Err(PetriError::ArcWeightTooLarge(weight));
         }
         if place.index() >= self.places.len() {
             return Err(PetriError::UnknownPlace(place));
@@ -250,6 +253,26 @@ mod tests {
         let t = b.transition("t");
         assert_eq!(b.arc_p_t(p, t, 0).unwrap_err(), PetriError::ZeroWeightArc);
         assert_eq!(b.arc_t_p(t, p, 0).unwrap_err(), PetriError::ZeroWeightArc);
+    }
+
+    #[test]
+    fn oversized_arc_weights_are_rejected() {
+        let mut b = NetBuilder::new("huge");
+        let p = b.place("p", 0);
+        let t = b.transition("t");
+        let over = i64::MAX as u64 + 1;
+        assert_eq!(
+            b.arc_p_t(p, t, over).unwrap_err(),
+            PetriError::ArcWeightTooLarge(over)
+        );
+        assert_eq!(
+            b.arc_t_p(t, p, u64::MAX).unwrap_err(),
+            PetriError::ArcWeightTooLarge(u64::MAX)
+        );
+        // The largest weight a delta row can hold is accepted, and the net builds.
+        b.arc_p_t(p, t, i64::MAX as u64).unwrap();
+        b.arc_t_p(t, p, i64::MAX as u64).unwrap();
+        assert_eq!(b.build().unwrap().arc_weight_pt(p, t), i64::MAX as u64);
     }
 
     #[test]

@@ -15,6 +15,9 @@ pub enum PetriError {
     DuplicateName(String),
     /// An arc was declared with weight zero, which the flow relation forbids.
     ZeroWeightArc,
+    /// An arc was declared with a weight above `i64::MAX`, which the signed per-place
+    /// firing effects (`post − pre`) cannot represent.
+    ArcWeightTooLarge(u64),
     /// An arc between the same pair of nodes was declared twice.
     DuplicateArc(String),
     /// Attempted to fire a transition that is not enabled in the given marking.
@@ -61,6 +64,9 @@ impl fmt::Display for PetriError {
             PetriError::UnknownTransition(t) => write!(f, "unknown transition {t}"),
             PetriError::DuplicateName(n) => write!(f, "duplicate node name `{n}`"),
             PetriError::ZeroWeightArc => write!(f, "arc weight must be at least 1"),
+            PetriError::ArcWeightTooLarge(w) => {
+                write!(f, "arc weight {w} exceeds the maximum {}", i64::MAX)
+            }
             PetriError::DuplicateArc(a) => write!(f, "duplicate arc {a}"),
             PetriError::NotEnabled(t) => write!(f, "transition {t} is not enabled"),
             PetriError::MarkingLengthMismatch { expected, found } => write!(

@@ -82,7 +82,7 @@ pub(crate) fn compute_delta(
     pre: &[Vec<(PlaceId, u64)>],
     post: &[Vec<(PlaceId, u64)>],
 ) -> Vec<Vec<(PlaceId, i64)>> {
-    let as_i64 = |w: u64| i64::try_from(w).expect("arc weight exceeds i64::MAX");
+    let as_i64 = |w: u64| i64::try_from(w).expect("NetBuilder refuses weights above i64::MAX");
     pre.iter()
         .zip(post.iter())
         .map(|(ins, outs)| {

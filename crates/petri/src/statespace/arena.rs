@@ -1,5 +1,5 @@
-//! Token storage: the [`TokenWord`] abstraction over narrow arena words and the
-//! [`MarkingArena`] used by analyses that need interned markings without the full graph.
+//! Token storage: the [`MarkingArena`] used by analyses that need interned markings
+//! without the full graph.
 //!
 //! # Example
 //!
@@ -16,122 +16,6 @@
 
 use super::interner::{Probe, SliceTable};
 use super::{hash_tokens, StateId};
-
-/// A machine word the token arena can be monomorphised over.
-///
-/// The engine picks the narrowest width whose range provably covers every token count
-/// the exploration can store (see
-/// [`ExploreOptions::width`](super::ExploreOptions::width)): most gallery nets fit `u8`,
-/// which cuts the memory traffic of state copies, probe comparisons and arena appends 8×
-/// relative to the `u64` baseline.
-///
-/// All arithmetic is defined on the token *values*, so every width hashes and compares
-/// markings identically; the width is an encoding choice, never a semantic one.
-pub trait TokenWord: Copy + Eq + Ord + std::fmt::Debug + Send + Sync + 'static {
-    /// Largest token count this width can store.
-    const MAX_TOKENS: u64;
-    /// Width name used by benchmark schemas and diagnostics (`"u8"`, `"u16"`, `"u64"`).
-    const NAME: &'static str;
-
-    /// Converts from a `u64` token count.
-    ///
-    /// Callers guarantee `value <= MAX_TOKENS`; the conversion truncates otherwise.
-    fn from_u64(value: u64) -> Self;
-
-    /// The token count as a `u64`.
-    fn to_u64(self) -> u64;
-
-    /// Applies a transition's per-place net effect, mirroring the `u64` engine's checked
-    /// semantics: returns `None` when the result would exceed [`TokenWord::MAX_TOKENS`]
-    /// (the engine then drops the edge exactly like the safe path's `TokenOverflow`).
-    ///
-    /// Negative deltas never underflow for enabled transitions — `|delta|` is at most the
-    /// pre-arc weight, which enabledness guarantees is covered.
-    fn apply_delta(self, delta: i64) -> Option<Self>;
-
-    /// The wrapping inverse of [`TokenWord::apply_delta`], used to revert a partially
-    /// applied delta row after an overflow or to restore the scratch state after probing.
-    fn unapply_delta(self, delta: i64) -> Self;
-}
-
-macro_rules! narrow_token_word {
-    ($ty:ty, $name:literal) => {
-        impl TokenWord for $ty {
-            const MAX_TOKENS: u64 = <$ty>::MAX as u64;
-            const NAME: &'static str = $name;
-
-            #[inline]
-            fn from_u64(value: u64) -> Self {
-                value as $ty
-            }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
-
-            #[inline]
-            fn apply_delta(self, delta: i64) -> Option<Self> {
-                if delta >= 0 {
-                    // `self + delta` cannot overflow u64 (self ≤ MAX_TOKENS, delta ≤ i64::MAX).
-                    let v = self as u64 + delta as u64;
-                    if v <= Self::MAX_TOKENS {
-                        Some(v as $ty)
-                    } else {
-                        None
-                    }
-                } else {
-                    Some(((self as u64) - delta.unsigned_abs()) as $ty)
-                }
-            }
-
-            #[inline]
-            fn unapply_delta(self, delta: i64) -> Self {
-                (self as u64).wrapping_sub(delta as u64) as $ty
-            }
-        }
-    };
-}
-
-narrow_token_word!(u8, "u8");
-narrow_token_word!(u16, "u16");
-
-impl TokenWord for u64 {
-    const MAX_TOKENS: u64 = u64::MAX;
-    const NAME: &'static str = "u64";
-
-    #[inline]
-    fn from_u64(value: u64) -> Self {
-        value
-    }
-
-    #[inline]
-    fn to_u64(self) -> u64 {
-        self
-    }
-
-    #[inline]
-    fn apply_delta(self, delta: i64) -> Option<Self> {
-        if delta >= 0 {
-            self.checked_add(delta as u64)
-        } else {
-            Some(self - delta.unsigned_abs())
-        }
-    }
-
-    #[inline]
-    fn unapply_delta(self, delta: i64) -> Self {
-        self.wrapping_sub(delta as u64)
-    }
-}
-
-/// Widens a whole arena to the `u64` representation the public query API serves.
-/// The `u64` instantiation is the identity and moves the vector without copying.
-pub(crate) fn widen_arena<W: TokenWord>(tokens: Vec<W>) -> Vec<u64> {
-    // Specialisation by value: for W = u64 the iterator maps through `to_u64` which the
-    // optimiser collapses to a no-op copy; the narrow widths genuinely convert.
-    tokens.into_iter().map(TokenWord::to_u64).collect()
-}
 
 /// A growable arena of equal-length token vectors addressed by [`StateId`].
 ///
@@ -248,19 +132,5 @@ mod tests {
                 .expect("interned marking is findable");
             assert_eq!(arena.state(id), &[i, i % 7]);
         }
-    }
-
-    #[test]
-    fn token_words_round_trip_and_check_overflow() {
-        assert_eq!(u8::from_u64(200).to_u64(), 200);
-        assert_eq!(u8::MAX_TOKENS, 255);
-        assert_eq!(100u8.apply_delta(55), Some(155u8));
-        assert_eq!(200u8.apply_delta(56), None);
-        assert_eq!(100u8.apply_delta(-100), Some(0u8));
-        assert_eq!(155u8.unapply_delta(55), 100u8);
-        assert_eq!(u16::MAX_TOKENS, 65_535);
-        assert_eq!(u64::MAX.apply_delta(1), None);
-        assert_eq!(5u64.apply_delta(-3), Some(2));
-        assert_eq!(2u64.unapply_delta(-3), 5);
     }
 }

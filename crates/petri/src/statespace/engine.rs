@@ -1,30 +1,30 @@
-//! The sequential explorer, adaptive width selection and the [`StateSpace`] graph.
+//! The sequential explorer and the [`StateSpace`] graph.
 //!
 //! # Example
 //!
-//! Exploring with explicit engine knobs — here forcing the full-width arena — produces
-//! the same canonical graph as the adaptive default:
+//! Exploring with explicit engine knobs — here an armed memory budget the exploration
+//! never reaches — produces the same graph as the defaults:
 //!
 //! ```
 //! use fcpn_petri::analysis::ReachabilityOptions;
 //! use fcpn_petri::gallery;
-//! use fcpn_petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+//! use fcpn_petri::statespace::{ExploreOptions, StateSpace};
+//! use fcpn_petri::MemoryBudget;
 //!
 //! let net = gallery::marked_ring(5, 2);
-//! let auto = StateSpace::explore(&net, ReachabilityOptions::default());
-//! let wide = StateSpace::explore_with(
+//! let plain = StateSpace::explore(&net, ReachabilityOptions::default());
+//! let budgeted = StateSpace::try_explore_with(
 //!     &net,
 //!     &ExploreOptions {
-//!         width: TokenWidth::U64,
+//!         memory: MemoryBudget::with_limit(1 << 20),
 //!         ..ExploreOptions::default()
 //!     },
-//! );
-//! assert_eq!(auto.token_width(), TokenWidth::U8); // narrow arena chosen automatically
-//! assert_eq!(auto.state_count(), wide.state_count());
-//! assert_eq!(auto.edge_count(), wide.edge_count());
+//! )
+//! .expect("1 MiB covers the 15 states");
+//! assert_eq!(plain.state_count(), budgeted.state_count());
+//! assert_eq!(plain.edge_count(), budgeted.edge_count());
 //! ```
 
-use super::arena::{widen_arena, TokenWord};
 use super::interner::{Probe, SliceTable};
 use super::{mix, place_key, raw_hash, StateId};
 use crate::analysis::ReachabilityOptions;
@@ -39,8 +39,8 @@ use crate::{Marking, PetriNet, TransitionId};
 /// in the tens of microseconds — far inside the service-level 50 ms bound.
 pub(crate) const CANCEL_STRIDE: u64 = 256;
 
-/// Canonical byte cost charged per admitted state: the arena row plus the raw hash
-/// plus the (amortized, ~50% load) interner slot.
+/// Canonical byte cost charged per admitted state: the arena row (8 bytes per place)
+/// plus the raw hash plus the (amortized, ~50% load) interner slot.
 ///
 /// The explorer charges this **canonical cost model** — a pure function of the
 /// admission sequence — rather than its physical allocations, so the same net under
@@ -48,8 +48,8 @@ pub(crate) const CANCEL_STRIDE: u64 = 256;
 /// error on every run. Physical overshoot (`Vec` growth slack) is bounded by a small
 /// multiple of the admitted bytes and by the `max_markings` clamp.
 #[inline]
-pub(crate) fn state_cost<W>(places: usize) -> u64 {
-    (places * std::mem::size_of::<W>()) as u64 + 8 + 24
+fn state_cost(places: usize) -> u64 {
+    (places * 8) as u64 + 8 + 24
 }
 
 /// Canonical byte cost charged per admitted CSR edge (`edge_to` + `edge_transition`).
@@ -58,56 +58,8 @@ const EDGE_COST: u64 = 8;
 /// Stage label of the explorer's budget charges.
 const STAGE_REACHABILITY: &str = "reachability";
 
-/// The storage width of the token arena.
-///
-/// `Auto` (the default) derives the narrowest sound width from the exploration bounds:
-/// a stored state is either the initial marking or the successor of a state whose
-/// tokens all fit the cut-off, so no stored token can exceed
-/// `max(initial_max, max_tokens_per_place + max_positive_delta)`. When that bound fits
-/// `u8`/`u16`, the narrow arena cuts the hot loop's memory traffic 4–8×.
-///
-/// A forced width narrower than the sound bound is silently widened to the narrowest
-/// sound width — the engine never trades correctness for bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TokenWidth {
-    /// Select the narrowest sound width automatically (the default).
-    #[default]
-    Auto,
-    /// 8-bit tokens (bound ≤ 255).
-    U8,
-    /// 16-bit tokens (bound ≤ 65 535).
-    U16,
-    /// Full-width tokens; always sound.
-    U64,
-}
-
-impl TokenWidth {
-    /// The width name as used in benchmark schemas (`"u8"`, `"u16"`, `"u64"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`TokenWidth::Auto`], which is a selection policy rather than a width;
-    /// resolved spaces ([`StateSpace::token_width`]) never carry it.
-    pub fn name(self) -> &'static str {
-        match self {
-            TokenWidth::Auto => panic!("Auto is not a concrete token width"),
-            TokenWidth::U8 => u8::NAME,
-            TokenWidth::U16 => u16::NAME,
-            TokenWidth::U64 => u64::NAME,
-        }
-    }
-
-    pub(crate) fn rank(self) -> u8 {
-        match self {
-            TokenWidth::U8 => 0,
-            TokenWidth::U16 => 1,
-            TokenWidth::Auto | TokenWidth::U64 => 2,
-        }
-    }
-}
-
-/// Exploration configuration beyond the [`ReachabilityOptions`] budget: token-arena
-/// width and the cancellation and memory guards. The analysis entry points
+/// Exploration configuration beyond the [`ReachabilityOptions`] budget: the
+/// cancellation and memory guards. The analysis entry points
 /// (`find_deadlock_with`, `check_liveness_with`, …) accept this struct to expose the
 /// same knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,8 +70,6 @@ pub struct ExploreOptions {
     /// the space `threads: 1` yields, bit for bit. The field stays because the
     /// repository benchmark (`perfbench/src/served.rs`) sets it.
     pub threads: usize,
-    /// Token-arena width selection.
-    pub width: TokenWidth,
     /// Cooperative cancellation: the explorer polls this token every few hundred
     /// expanded states and abandon the exploration with [`Interrupt::Cancelled`] when
     /// it fires. The default ([`CancelToken::never`]) costs nothing and never fires; a
@@ -137,7 +87,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             reach: ReachabilityOptions::default(),
             threads: 1,
-            width: TokenWidth::Auto,
             cancel: CancelToken::never(),
             memory: MemoryBudget::unlimited(),
         }
@@ -153,51 +102,17 @@ impl From<ReachabilityOptions> for ExploreOptions {
     }
 }
 
-/// Picks the narrowest token width whose range provably covers every token count the
-/// exploration can store, then widens to the requested width when that is wider.
-fn select_width(net: &PetriNet, initial: &[u64], options: &ExploreOptions) -> TokenWidth {
-    let initial_max = initial.iter().copied().max().unwrap_or(0);
-    let max_positive_delta = net
-        .transitions()
-        .flat_map(|t| net.delta_row(t))
-        .filter(|&&(_, d)| d > 0)
-        .map(|&(_, d)| d as u64)
-        .max()
-        .unwrap_or(0);
-    // A state is stored either as the initial marking or as the successor of an expanded
-    // state, whose tokens are all ≤ the cut-off; one firing adds at most
-    // `max_positive_delta` to any place.
-    let bound = initial_max.max(
-        options
-            .reach
-            .max_tokens_per_place
-            .saturating_add(max_positive_delta),
-    );
-    let minimal = if bound <= u8::MAX_TOKENS {
-        TokenWidth::U8
-    } else if bound <= u16::MAX_TOKENS {
-        TokenWidth::U16
-    } else {
-        TokenWidth::U64
-    };
-    match options.width {
-        TokenWidth::Auto => minimal,
-        forced if forced.rank() >= minimal.rank() => forced,
-        _ => minimal,
-    }
-}
-
 /// Flattened per-net firing tables shared by the explorer and the firing session: CSR
 /// input arcs and delta rows, per-transition constant hash shifts, and the per-place
 /// consumer bitmasks driving candidate generation.
 #[derive(Debug, Clone)]
 pub(crate) struct NetTables {
-    pub(crate) places: usize,
+    places: usize,
     pre_offsets: Vec<u32>,
     pre_rows: Vec<(u32, u64)>,
     delta_offsets: Vec<u32>,
     delta_rows: Vec<(u32, i64)>,
-    pub(crate) hash_shift: Vec<u64>,
+    hash_shift: Vec<u64>,
     mask_words: usize,
     consumer_masks: Vec<u64>,
     source_mask: Vec<u64>,
@@ -277,11 +192,10 @@ impl NetTables {
     /// One fused pass over a state's tokens: gathers the candidate mask from the marked
     /// places' consumer rows and returns the largest token count (for the cut-off check).
     #[inline]
-    pub(crate) fn gather_candidates<W: TokenWord>(&self, tokens: &[W], mask: &mut [u64]) -> u64 {
+    pub(crate) fn gather_candidates(&self, tokens: &[u64], mask: &mut [u64]) -> u64 {
         mask.copy_from_slice(&self.source_mask);
         let mut max_tokens = 0u64;
         for (p, &count) in tokens.iter().enumerate() {
-            let count = count.to_u64();
             if count == 0 {
                 continue;
             }
@@ -294,79 +208,69 @@ impl NetTables {
         max_tokens
     }
 
-    /// Applies transition `t`'s delta row to `current` in place. Returns `false` — with
-    /// `current` restored — when a place would exceed the width's maximum, mirroring the
-    /// safe path's `TokenOverflow` edge drop.
+    /// Applies transition `t`'s delta row to `current` in place. When a place would
+    /// exceed `u64::MAX` it restores `current` and returns that place, mirroring the
+    /// safe path's `TokenOverflow`: the explorer drops the edge, the session reports it.
+    ///
+    /// Negative deltas never underflow for an enabled transition: `|delta|` is at most
+    /// the pre-arc weight, which enabledness guarantees is covered.
     #[inline]
-    pub(crate) fn apply_delta_in_place<W: TokenWord>(&self, current: &mut [W], t: usize) -> bool {
+    pub(crate) fn apply_delta_in_place(&self, current: &mut [u64], t: usize) -> Result<(), u32> {
         let delta = self.delta(t);
         for (applied, &(p, d)) in delta.iter().enumerate() {
             let slot = &mut current[p as usize];
-            match slot.apply_delta(d) {
+            match slot.checked_add_signed(d) {
                 Some(v) => *slot = v,
                 None => {
                     for &(q, e) in &delta[..applied] {
                         let undo = &mut current[q as usize];
-                        *undo = undo.unapply_delta(e);
+                        *undo = undo.wrapping_sub(e as u64);
                     }
-                    return false;
+                    return Err(p);
                 }
             }
         }
-        true
+        Ok(())
     }
 
     /// Reverts transition `t`'s delta row, restoring the expanded state in `current`.
     #[inline]
-    pub(crate) fn revert_delta_in_place<W: TokenWord>(&self, current: &mut [W], t: usize) {
+    pub(crate) fn revert_delta_in_place(&self, current: &mut [u64], t: usize) {
         for &(p, d) in self.delta(t) {
             let slot = &mut current[p as usize];
-            *slot = slot.unapply_delta(d);
+            *slot = slot.wrapping_sub(d as u64);
         }
     }
 
     /// Enabledness of transition `t` in `current` (input-arc scan only).
     #[inline]
-    pub(crate) fn enabled<W: TokenWord>(&self, current: &[W], t: usize) -> bool {
-        self.pre(t)
-            .iter()
-            .all(|&(p, w)| current[p as usize].to_u64() >= w)
+    pub(crate) fn enabled(&self, current: &[u64], t: usize) -> bool {
+        self.pre(t).iter().all(|&(p, w)| current[p as usize] >= w)
     }
 }
 
-/// The width-generic output of an exploration, before widening into a [`StateSpace`].
-struct RawSpace<W> {
-    arena: Vec<W>,
-    table: SliceTable,
-    fwd_offsets: Vec<u32>,
-    edge_to: Vec<u32>,
-    edge_transition: Vec<u32>,
-    complete: bool,
-    frontier: Vec<StateId>,
-}
-
-/// The breadth-first explorer, generic over the arena word.
+/// The breadth-first explorer.
 ///
 /// The hot loop works entirely in place: the current state's tokens sit in one scratch
 /// buffer, each enabled transition's precomputed delta row is applied to it, the
 /// successor is probed (its hash derived in O(1) from the parent's via the transition's
 /// constant hash shift), and the delta is reverted — the only per-state copies are one
 /// read from the arena on expansion and one append on insertion.
-fn explore_seq<W: TokenWord>(
+fn explore_seq(
     tables: &NetTables,
     initial: &[u64],
     options: ReachabilityOptions,
     cancel: &CancelToken,
     memory: &MemoryBudget,
-) -> Result<RawSpace<W>, Interrupt> {
+) -> Result<StateSpace, Interrupt> {
     let places = tables.places;
     let mut cancel_gate = CancelGate::new(CANCEL_STRIDE);
     let mut meter = memory.meter();
-    let state_bytes = state_cost::<W>(places);
+    let state_bytes = state_cost(places);
     meter.charge(state_bytes, STAGE_REACHABILITY)?;
 
-    let mut arena: Vec<W> = Vec::with_capacity(places.max(1) * 256);
-    arena.extend(initial.iter().map(|&k| W::from_u64(k)));
+    let mut arena: Vec<u64> = Vec::with_capacity(places.max(1) * 256);
+    arena.extend_from_slice(initial);
     let mut raw_hashes: Vec<u64> = Vec::with_capacity(256);
     raw_hashes.push(raw_hash(&arena));
     let mut table = SliceTable::with_capacity(256);
@@ -381,7 +285,7 @@ fn explore_seq<W: TokenWord>(
     let mut frontier: Vec<StateId> = Vec::new();
     let mut complete = true;
 
-    let mut current: Vec<W> = vec![W::from_u64(0); places];
+    let mut current: Vec<u64> = vec![0; places];
     let mut candidate_mask = tables.candidate_buffer();
 
     // BFS. State ids are assigned in discovery order and the queue is FIFO, so the
@@ -415,7 +319,7 @@ fn explore_seq<W: TokenWord>(
                 // Fire in place; on (astronomically unlikely) token overflow, the delta
                 // application reverts itself and the edge is dropped, mirroring the safe
                 // path's TokenOverflow behaviour.
-                if !tables.apply_delta_in_place(&mut current, t) {
+                if tables.apply_delta_in_place(&mut current, t).is_err() {
                     continue 'transitions;
                 }
                 let successor_hash = current_hash.wrapping_add(tables.hash_shift[t]);
@@ -458,12 +362,14 @@ fn explore_seq<W: TokenWord>(
         fwd_offsets.push(edge_to.len() as u32);
     }
 
-    Ok(RawSpace {
+    Ok(StateSpace {
+        places,
         arena,
         table,
         fwd_offsets,
         edge_to,
         edge_transition,
+        back: std::sync::OnceLock::new(),
         complete,
         frontier,
     })
@@ -473,9 +379,8 @@ fn explore_seq<W: TokenWord>(
 ///
 /// Construction ([`StateSpace::explore`]) is a breadth-first enumeration with the same
 /// budget/cut-off semantics as [`ReachabilityOptions`]; queries run over CSR adjacency.
-/// [`StateSpace::explore_with`] additionally exposes the token-width knob and the
-/// guards; whatever width builds the space, the resulting graph is canonical —
-/// identical ids, edges and frontier across widths.
+/// [`StateSpace::explore_with`] additionally exposes the cancellation and memory
+/// guards; a guard that never trips leaves the graph bit-for-bit unchanged.
 #[derive(Debug)]
 pub struct StateSpace {
     places: usize,
@@ -491,7 +396,6 @@ pub struct StateSpace {
     back: std::sync::OnceLock<BackCsr>,
     complete: bool,
     frontier: Vec<StateId>,
-    width: TokenWidth,
 }
 
 /// Reverse adjacency in CSR form: incoming edges of each state.
@@ -518,20 +422,17 @@ impl Clone for StateSpace {
             back,
             complete: self.complete,
             frontier: self.frontier.clone(),
-            width: self.width,
         }
     }
 }
 
 impl StateSpace {
-    /// Explores the state space of `net` from its initial marking (sequential, automatic
-    /// width).
+    /// Explores the state space of `net` from its initial marking.
     pub fn explore(net: &PetriNet, options: ReachabilityOptions) -> Self {
         Self::explore_with(net, &ExploreOptions::from(options))
     }
 
-    /// Explores the state space of `net` from an arbitrary marking (sequential,
-    /// automatic width).
+    /// Explores the state space of `net` from an arbitrary marking.
     ///
     /// # Panics
     ///
@@ -593,53 +494,13 @@ impl StateSpace {
         options: &ExploreOptions,
     ) -> Result<Self, Interrupt> {
         assert_eq!(initial.len(), net.place_count(), "marking length mismatch");
-        let width = select_width(net, initial.as_slice(), options);
-        let tables = NetTables::build(net);
-        match width {
-            TokenWidth::U8 => Self::run::<u8>(&tables, initial.as_slice(), options, width),
-            TokenWidth::U16 => Self::run::<u16>(&tables, initial.as_slice(), options, width),
-            TokenWidth::Auto | TokenWidth::U64 => {
-                Self::run::<u64>(&tables, initial.as_slice(), options, width)
-            }
-        }
-    }
-
-    fn run<W: TokenWord>(
-        tables: &NetTables,
-        initial: &[u64],
-        options: &ExploreOptions,
-        width: TokenWidth,
-    ) -> Result<Self, Interrupt> {
-        let raw = explore_seq::<W>(
-            tables,
-            initial,
+        explore_seq(
+            &NetTables::build(net),
+            initial.as_slice(),
             options.reach,
             &options.cancel,
             &options.memory,
-        )?;
-        // The narrow arena widens to `u64` words for the canonical [`StateSpace`];
-        // charge the width delta so a budget covers what the caller actually keeps.
-        let widen_extra = (8 - std::mem::size_of::<W>()) as u64 * raw.arena.len() as u64;
-        if widen_extra > 0 {
-            options.memory.charge(widen_extra, "widen")?;
-        }
-        Ok(StateSpace {
-            places: tables.places,
-            arena: widen_arena(raw.arena),
-            table: raw.table,
-            fwd_offsets: raw.fwd_offsets,
-            edge_to: raw.edge_to,
-            edge_transition: raw.edge_transition,
-            back: std::sync::OnceLock::new(),
-            complete: raw.complete,
-            frontier: raw.frontier,
-            width,
-        })
-    }
-
-    /// The token width the arena was explored with (never [`TokenWidth::Auto`]).
-    pub fn token_width(&self) -> TokenWidth {
-        self.width
+        )
     }
 
     /// The backward CSR, built by counting sort over the forward edges on first use.
@@ -887,8 +748,6 @@ mod tests {
         assert!(space.contains(net.initial_marking()));
         assert_eq!(space.index_of(net.initial_marking()), Some(0));
         assert_eq!(space.tokens(0), net.initial_marking().as_slice());
-        // The default budget (cut-off 64, unit deltas) fits the narrow u8 arena.
-        assert_eq!(space.token_width(), TokenWidth::U8);
     }
 
     #[test]
@@ -981,57 +840,6 @@ mod tests {
         assert_eq!(space.dead_states(), vec![0]);
     }
 
-    #[test]
-    fn width_selection_honours_bounds_and_requests() {
-        let net = bounded_cycle();
-        let defaults = ExploreOptions::default();
-        assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &defaults),
-            TokenWidth::U8
-        );
-        // A huge cut-off forces the full width even under Auto.
-        let wide = ExploreOptions {
-            reach: ReachabilityOptions {
-                max_markings: 10,
-                max_tokens_per_place: u64::MAX / 2,
-            },
-            ..ExploreOptions::default()
-        };
-        assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &wide),
-            TokenWidth::U64
-        );
-        // Forcing a narrower width than the bound allows silently widens.
-        let forced_narrow = ExploreOptions {
-            width: TokenWidth::U8,
-            ..wide
-        };
-        assert_eq!(
-            select_width(&net, net.initial_marking().as_slice(), &forced_narrow),
-            TokenWidth::U64
-        );
-        // A wide initial marking also widens, even with a tiny cut-off.
-        let mut b = NetBuilder::new("wide-initial");
-        let p = b.place("p", 1_000);
-        let t = b.transition("t");
-        b.arc_p_t(p, t, 1).unwrap();
-        let net = b.build().unwrap();
-        assert_eq!(
-            select_width(
-                &net,
-                net.initial_marking().as_slice(),
-                &ExploreOptions {
-                    reach: ReachabilityOptions {
-                        max_markings: 10,
-                        max_tokens_per_place: 3,
-                    },
-                    ..ExploreOptions::default()
-                }
-            ),
-            TokenWidth::U16
-        );
-    }
-
     /// Asserts `space` is the graph `baseline` is: same markings under the same ids,
     /// same out-edges, same completeness and frontier.
     fn assert_same_space(space: &StateSpace, baseline: &StateSpace, tag: &str) {
@@ -1045,29 +853,6 @@ mod tests {
                 space.successors(id).eq(baseline.successors(id)),
                 "{tag}: out-edges of {id}"
             );
-        }
-    }
-
-    #[test]
-    fn forced_widths_explore_identically() {
-        let net = gallery::figure5();
-        let reach = ReachabilityOptions {
-            max_markings: 500,
-            max_tokens_per_place: 4,
-        };
-        let explore = |width| {
-            StateSpace::explore_with(
-                &net,
-                &ExploreOptions {
-                    reach,
-                    width,
-                    ..ExploreOptions::default()
-                },
-            )
-        };
-        let baseline = explore(TokenWidth::U64);
-        for width in [TokenWidth::Auto, TokenWidth::U8, TokenWidth::U16] {
-            assert_same_space(&explore(width), &baseline, &format!("{width:?}"));
         }
     }
 

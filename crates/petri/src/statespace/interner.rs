@@ -15,17 +15,13 @@
 //! assert_eq!(space.index_of_tokens(&[9, 9, 9, 9]), None);
 //! ```
 
-use super::arena::TokenWord;
 use super::{hash_tokens, StateId, EMPTY_SLOT};
 
 /// Open-addressing interner mapping token slices to state ids.
 ///
 /// Only `(hash, id)` pairs live in the table; the token data itself stays in the owning
 /// arena, so growth and probing never touch markings, and equality is checked against the
-/// arena slice only on a hash hit. The table is token-width agnostic: probes are generic
-/// over [`TokenWord`], and since marking hashes are computed over token *values*, a table
-/// built over a `u8` arena and one built over a `u64` arena holding the same markings are
-/// identical.
+/// arena slice only on a hash hit.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SliceTable {
     /// `(hash, id)` per slot, `id == EMPTY_SLOT` marking vacancy. One combined array so
@@ -56,11 +52,11 @@ impl SliceTable {
     /// Finds `tokens` in the table, or the slot where it belongs.
     ///
     /// `state_of` resolves a stored id to its arena slice for the equality check.
-    pub(crate) fn probe<'a, W: TokenWord>(
+    pub(crate) fn probe<'a>(
         &self,
         hash: u64,
-        tokens: &[W],
-        state_of: impl Fn(StateId) -> &'a [W],
+        tokens: &[u64],
+        state_of: impl Fn(StateId) -> &'a [u64],
     ) -> Probe {
         let mask = self.entries.len() - 1;
         let mut slot = (hash as usize) & mask;
@@ -120,10 +116,10 @@ impl SliceTable {
     }
 
     /// Looks `tokens` up against externally stored markings.
-    pub(crate) fn find<'a, W: TokenWord>(
+    pub(crate) fn find<'a>(
         &self,
-        tokens: &[W],
-        state_of: impl Fn(StateId) -> &'a [W],
+        tokens: &[u64],
+        state_of: impl Fn(StateId) -> &'a [u64],
     ) -> Option<StateId> {
         match self.probe(hash_tokens(tokens), tokens, state_of) {
             Probe::Found(id) => Some(id),

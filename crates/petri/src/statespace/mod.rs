@@ -6,13 +6,8 @@
 //! a full [`Marking`](crate::Marking) per expansion and hashes whole token vectors into
 //! a `HashMap<Marking, usize>`, the engine here:
 //!
-//! * stores every discovered marking contiguously in **one flat token arena**, addressed
-//!   by dense `u32` state ids — no per-state allocation, no pointer chasing;
-//! * picks the arena's word size **adaptively**: when the exploration bounds prove that
-//!   no stored token can exceed `u8::MAX` (or `u16::MAX`), tokens are stored in a narrow
-//!   `u8`/`u16` arena monomorphised over [`TokenWord`], cutting the
-//!   memory traffic of the hot loop (state copies, probe comparisons, arena appends)
-//!   4–8× relative to `u64`;
+//! * stores every discovered marking contiguously in **one flat `u64` token arena**,
+//!   addressed by dense `u32` state ids — no per-state allocation, no pointer chasing;
 //! * interns states through an open-addressing **hash-of-slice table** that stores only
 //!   `(hash, id)` pairs and compares candidate slices directly against the arena — a
 //!   successor marking is hashed exactly once, in its scratch buffer, before any copy;
@@ -24,10 +19,9 @@
 //!   [`can_eventually_fire`](StateSpace::can_eventually_fire) is a single O(V+E)
 //!   backward traversal instead of an O(V·E) fixpoint;
 //! * re-exposes the same machinery for **sequential trace execution**:
-//!   [`FiringSession`] is a long-lived token-game cursor (fire/undo, bitmask
-//!   enabled-set queries, checkpoint/rollback, on-demand width widening) used by the
-//!   RTOS simulators and the ATM Table I harness instead of the owned-`Marking`
-//!   token game.
+//!   [`FiringSession`] is a long-lived token-game cursor (fire, bitmask enabled-set
+//!   queries, reset to the starting marking) used by the RTOS simulators and the ATM
+//!   Table I harness instead of the owned-`Marking` token game.
 //!
 //! Exploration is single-threaded. A hash-sharded parallel explorer ran 2–3× slower
 //! than this engine on every net benchmarked on 1- and 2-core hosts (ARCHITECTURE.md,
@@ -35,10 +29,14 @@
 //! accepted and ignored.
 //!
 //! The exploration order and truncation semantics (state budget, per-place token
-//! cut-off) are **bit-for-bit identical** to the seed explorer's for every token width:
-//! all variants assign the same state ids, discover the same edges in the same order
-//! and report the same frontier. `tests/properties.rs` holds that equivalence over the
-//! gallery nets and randomly generated nets.
+//! cut-off) are **bit-for-bit identical** to the seed explorer's: the engine assigns the
+//! same state ids, discovers the same edges in the same order, reports the same frontier
+//! and drops the same overflowing edges. `tests/properties.rs` holds that equivalence
+//! over the gallery nets and randomly generated nets.
+//!
+//! Tokens are `u64` words only. The narrow `u8`/`u16` arenas the explorer once picked
+//! from a static bound were deleted for their code, not for speed; ARCHITECTURE.md
+//! ("Token arena") records what they saved and what the daemon pays without them.
 //!
 //! # Example
 //!
@@ -57,9 +55,9 @@ mod engine;
 mod interner;
 mod session;
 
-pub use arena::{MarkingArena, TokenWord};
+pub use arena::MarkingArena;
 pub(crate) use engine::CANCEL_STRIDE;
-pub use engine::{ExploreOptions, StateSpace, TokenWidth};
+pub use engine::{ExploreOptions, StateSpace};
 pub(crate) use interner::SliceTable;
 pub use session::FiringSession;
 
@@ -84,21 +82,20 @@ pub(crate) fn place_key(place: usize) -> u64 {
     mix((place as u64).wrapping_add(0x9e37_79b9_7f4a_7c15)) | 1
 }
 
-/// Raw additive marking hash: `Σ tokens[p] · key(p)` (wrapping), over any token width.
+/// Raw additive marking hash: `Σ tokens[p] · key(p)` (wrapping).
 ///
 /// Additivity is the point — firing a transition shifts the raw hash by a constant
 /// (`Σ delta[p] · key(p)`), so the explorer updates successor hashes in O(1) from the
-/// parent instead of rehashing the whole token vector. Because the sum runs over the
-/// *values* (not the byte representation), every token width hashes identically.
+/// parent instead of rehashing the whole token vector.
 #[inline]
-pub(crate) fn raw_hash<W: TokenWord>(tokens: &[W]) -> u64 {
+pub(crate) fn raw_hash(tokens: &[u64]) -> u64 {
     tokens.iter().enumerate().fold(0u64, |h, (p, &k)| {
-        h.wrapping_add(k.to_u64().wrapping_mul(place_key(p)))
+        h.wrapping_add(k.wrapping_mul(place_key(p)))
     })
 }
 
 /// The table hash of a token slice: finalized raw hash.
 #[inline]
-pub(crate) fn hash_tokens<W: TokenWord>(tokens: &[W]) -> u64 {
+pub(crate) fn hash_tokens(tokens: &[u64]) -> u64 {
     mix(raw_hash(tokens))
 }

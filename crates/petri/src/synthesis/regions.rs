@@ -32,7 +32,7 @@ use super::lts::Lts;
 use super::{SynthesisError, SynthesisOptions, SynthesisStats, SynthesizedNet};
 use crate::analysis::{farkas_sparse, ReachabilityOptions};
 use crate::cancel::CancelGate;
-use crate::statespace::{ExploreOptions, StateSpace, TokenWidth};
+use crate::statespace::{ExploreOptions, StateSpace};
 use crate::NetBuilder;
 
 /// Stage label for charges issued while building potentials and cycle equations.
@@ -359,7 +359,6 @@ pub(super) fn run(lts: &Lts, opts: &SynthesisOptions) -> Result<SynthesizedNet, 
                 max_markings: n + 1,
                 max_tokens_per_place: max_tok.max(1),
             },
-            width: TokenWidth::U64,
             cancel: cancel.clone(),
             memory: opts.memory.clone(),
             ..ExploreOptions::default()

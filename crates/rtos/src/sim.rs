@@ -56,7 +56,7 @@
 
 use crate::{CostModel, Event, Result, RtosError, Workload};
 use fcpn_codegen::{ChoiceResolver, CompiledProgram, ExecSession, Interpreter, Program};
-use fcpn_petri::statespace::{FiringSession, StateId};
+use fcpn_petri::statespace::FiringSession;
 use fcpn_petri::{CancelToken, PetriNet, PlaceId, TransitionId};
 
 /// Which execution engine runs the synthesised tasks during
@@ -289,10 +289,10 @@ fn task_owner_map(net: &PetriNet, tasks: &[FunctionalTask]) -> Result<Vec<usize>
 /// cost.
 ///
 /// This is the fast path: the token game runs on a
-/// [`FiringSession`](fcpn_petri::statespace::FiringSession) (flat width-adaptive token
-/// buffer, delta-row firing, bitmask enabled-set queries into a reused buffer), so the
-/// cascade loop performs no per-step allocation and never scans transitions whose input
-/// places are all empty. The seed marking-by-marking simulator it replaced is the
+/// [`FiringSession`](fcpn_petri::statespace::FiringSession) (flat token buffer,
+/// delta-row firing, bitmask enabled-set queries into a reused buffer), so the cascade
+/// loop performs no per-step allocation and never scans transitions whose input places
+/// are all empty. The seed marking-by-marking simulator it replaced is the
 /// oracle `fcpn_bench::oracle::simulate_functional_partition_naive`;
 /// `tests/firing_session.rs` and `tests/atm_case_study.rs` pin the two to identical
 /// reports.
@@ -313,8 +313,8 @@ pub fn simulate_functional_partition<R: ChoiceResolver + ?Sized>(
 
 /// A reusable functional-partition simulation: the per-transition cost tables, ownership
 /// maps and the [`FiringSession`] are built **once**, and every
-/// [`run`](FunctionalSimBatch::run) restores the session to the initial marking through
-/// its checkpoint arena (one O(places) rollback) instead of rebuilding the firing
+/// [`run`](FunctionalSimBatch::run) restores the session to the initial marking with
+/// [`FiringSession::reset`] (one O(places) copy) instead of rebuilding the firing
 /// tables from scratch.
 ///
 /// This is the Monte-Carlo shape of the Table I experiment: sweeping many traffic seeds
@@ -336,10 +336,11 @@ pub struct FunctionalSimBatch<'a> {
     is_source: Vec<bool>,
     activation_overhead: u64,
     session: FiringSession,
-    /// Checkpoint of the initial marking; every run starts by rolling back to it.
-    start: StateId,
     /// Reused across every cascade step: `enabled_into` clears and refills it.
     enabled: Vec<TransitionId>,
+    /// Reused across every conflicted firing: the enabled consumers of the choice
+    /// place, in consumer order, handed to the resolver.
+    candidates: Vec<TransitionId>,
     /// Per-run firing budget (see [`FunctionalSimBatch::set_step_budget`]).
     step_budget: u64,
     /// Cooperative cancellation (see [`FunctionalSimBatch::set_cancel_token`]).
@@ -393,8 +394,6 @@ impl<'a> FunctionalSimBatch<'a> {
             .transitions()
             .map(|t| net.is_source_transition(t))
             .collect();
-        let mut session = FiringSession::new(net);
-        let start = session.checkpoint(); // id 0 = the starting marking
         Ok(FunctionalSimBatch {
             net,
             owner,
@@ -403,9 +402,9 @@ impl<'a> FunctionalSimBatch<'a> {
             choice_place,
             is_source,
             activation_overhead: cost.activation_overhead,
-            session,
-            start,
+            session: FiringSession::new(net),
             enabled: Vec::new(),
+            candidates: Vec::new(),
             step_budget: DEFAULT_STEP_BUDGET,
             cancel: CancelToken::never(),
         })
@@ -439,9 +438,9 @@ impl<'a> FunctionalSimBatch<'a> {
         self.cancel = cancel;
     }
 
-    /// Simulates one workload from the initial marking (the shared session is rolled
-    /// back to its start checkpoint first). The report is identical to
-    /// [`simulate_functional_partition`]'s for the same inputs.
+    /// Simulates one workload from the initial marking (the shared session is reset
+    /// first). The report is identical to [`simulate_functional_partition`]'s for the
+    /// same inputs.
     ///
     /// # Errors
     ///
@@ -462,7 +461,7 @@ impl<'a> FunctionalSimBatch<'a> {
         }
         let step_budget = self.step_budget;
         let cancel = self.cancel.clone();
-        self.session.rollback(self.start);
+        self.session.reset();
         let net = self.net;
         let owner = &self.owner;
         let step_cost = &self.step_cost;
@@ -471,6 +470,7 @@ impl<'a> FunctionalSimBatch<'a> {
         let activation_overhead = self.activation_overhead;
         let session = &mut self.session;
         let enabled = &mut self.enabled;
+        let candidates = &mut self.candidates;
         let mut per_task: Vec<TaskActivation> = self
             .task_names
             .iter()
@@ -540,13 +540,14 @@ impl<'a> FunctionalSimBatch<'a> {
                         Some(conflicted) => {
                             let place = choice_place[conflicted.index()]
                                 .expect("conflicted transition has a choice input");
-                            let candidates: Vec<TransitionId> = net
-                                .consumers(place)
-                                .iter()
-                                .map(|&(t, _)| t)
-                                .filter(|t| enabled.contains(t))
-                                .collect();
-                            resolver.resolve(place, &candidates)
+                            candidates.clear();
+                            candidates.extend(
+                                net.consumers(place)
+                                    .iter()
+                                    .map(|&(t, _)| t)
+                                    .filter(|t| enabled.contains(t)),
+                            );
+                            resolver.resolve(place, candidates)
                         }
                         None => enabled[0],
                     }
@@ -882,7 +883,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, RtosError::StepBudgetExhausted { limit: 1_000 });
         // The budget error must not poison the batch: a benign run still works after a
-        // rollback (raise the budget back first).
+        // reset (raise the budget back first).
         batch.set_step_budget(DEFAULT_STEP_BUDGET);
         let err_again = batch
             .run(&Workload::new(), &mut FixedResolver::default())

@@ -1392,6 +1392,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_arc_weight_is_a_400_not_a_panic() {
+        let (limits, cache, metrics) = ctx_parts();
+        let ctx = HandlerCtx {
+            limits: &limits,
+            cache: &cache,
+            metrics: &metrics,
+            governor: None,
+        };
+        // One above i64::MAX: the signed delta rows cannot hold it.
+        let text = "net huge\nplace q\ntransition t\narc t -> q 9223372036854775808\n";
+        for path in ["/schedule", "/analyze", "/codegen"] {
+            let response = handle(&ctx, &post(path, text));
+            assert_eq!(response.status, 400, "{path}");
+            let value = parse(&response.body).unwrap();
+            assert_eq!(
+                value.get("error").unwrap().as_str(),
+                Some("net parse failed: arc weight 9223372036854775808 exceeds the maximum 9223372036854775807"),
+                "{path}"
+            );
+        }
+        assert_eq!(cache.len(), 0, "a refused net is never cached");
+    }
+
+    #[test]
     fn unknown_path_and_wrong_method() {
         let (limits, cache, metrics) = ctx_parts();
         let ctx = HandlerCtx {

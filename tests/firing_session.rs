@@ -1,20 +1,19 @@
 //! Equivalence and edge-case tests for the firing fast path
 //! ([`fcpn::petri::statespace::FiringSession`]).
 //!
-//! The session's contract is the one PR 1/2 established for the exploration engine,
-//! transplanted to sequential trace execution: whatever the token width, however many
-//! times the session widens, checkpoints or rolls back, every observable — markings,
-//! enabled sets, firing errors, token totals — must be *bit-for-bit identical* to the
-//! seed token game (`PetriNet::fire` on an owned `Marking` plus
-//! `enabled_transitions`). The random-trace loop here drives both sides in lockstep
-//! from seeded PRNGs, and the RTOS-level tests pin the session-backed functional
-//! simulator against the seed simulator ([`simulate_functional_partition_naive`]) on
-//! random partitionings, on a
-//! two-task figure 5 partition and across a reused batch's token-width widening.
+//! The session's contract is the exploration engine's, transplanted to sequential
+//! trace execution: however many times the session fires or resets, every observable —
+//! markings, enabled sets, firing errors, token totals — must be *bit-for-bit
+//! identical* to the seed token game (`PetriNet::fire` on an owned `Marking` plus
+//! `enabled_transitions`), up to a place holding `u64::MAX` tokens. The random-trace
+//! loop here drives both sides in lockstep from seeded PRNGs, and the RTOS-level tests
+//! pin the session-backed functional simulator against the seed simulator
+//! ([`simulate_functional_partition_naive`]) on random partitionings, on a two-task
+//! figure 5 partition and across the runs of one reused batch.
 
 use fcpn::codegen::{FixedResolver, RoundRobinResolver};
-use fcpn::petri::statespace::{FiringSession, TokenWidth};
-use fcpn::petri::{gallery, Marking, NetBuilder, PetriNet, TransitionId};
+use fcpn::petri::statespace::FiringSession;
+use fcpn::petri::{gallery, Marking, NetBuilder, PetriError, PetriNet, TransitionId};
 use fcpn::rtos::{
     simulate_functional_partition, CostModel, FunctionalSimBatch, FunctionalTask, Workload,
 };
@@ -68,16 +67,17 @@ fn lockstep_trace(
     steps: usize,
 ) -> usize {
     let mut fired = 0;
+    let mut fast_enabled = Vec::new();
     for _ in 0..steps {
         let safe_enabled = net.enabled_transitions(marking);
+        session.enabled_into(&mut fast_enabled);
         assert_eq!(
-            session.enabled_transitions(),
+            fast_enabled,
             safe_enabled,
             "enabled sets diverged on {}",
             net.name()
         );
         if safe_enabled.is_empty() {
-            assert!(session.is_deadlocked());
             break;
         }
         // Mostly fire an enabled transition; sometimes attempt a disabled one and check
@@ -134,18 +134,20 @@ fn random_traces_match_naive_token_game_on_random_nets() {
 }
 
 #[test]
-fn undo_rewinds_random_traces_exactly() {
+fn reset_rewinds_random_traces_exactly() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
         let net = random_net(&mut rng);
         let mut session = FiringSession::new(&net);
         let mut marking = net.initial_marking().clone();
-        let fired = lockstep_trace(&net, &mut session, &mut marking, &mut rng, 60);
-        assert_eq!(session.trace_len(), fired);
-        // Unwind the whole trace: the session must land exactly on the start.
-        while session.undo().is_some() {}
+        lockstep_trace(&net, &mut session, &mut marking, &mut rng, 60);
+        // Rewind the whole trace: the session must land exactly on the start, and a
+        // second trace from there must match the token game again.
+        session.reset();
         assert_eq!(session.marking(), net.initial_marking().clone());
         assert_eq!(session.total_tokens(), net.initial_marking().total_tokens());
+        let mut marking = net.initial_marking().clone();
+        lockstep_trace(&net, &mut session, &mut marking, &mut rng, 60);
     }
 }
 
@@ -162,14 +164,11 @@ fn deadlocked_session_reports_zero_enabled() {
     b.arc_p_t(p1, t1, 1).unwrap();
     let net = b.build().unwrap();
     let mut session = FiringSession::new(&net);
-    session
-        .fire_sequence(&[
-            net.transition_by_name("t0").unwrap(),
-            net.transition_by_name("t1").unwrap(),
-        ])
-        .unwrap();
-    assert!(session.is_deadlocked());
-    assert!(session.enabled_transitions().is_empty());
+    session.fire(net.transition_by_name("t0").unwrap()).unwrap();
+    session.fire(net.transition_by_name("t1").unwrap()).unwrap();
+    let mut enabled = vec![net.transition_by_name("t0").unwrap()];
+    session.enabled_into(&mut enabled);
+    assert!(enabled.is_empty(), "enabled_into clears its buffer first");
     assert_eq!(session.total_tokens(), 0);
     // Firing anything from the dead marking fails and changes nothing.
     let t0 = net.transition_by_name("t0").unwrap();
@@ -178,66 +177,41 @@ fn deadlocked_session_reports_zero_enabled() {
 }
 
 #[test]
-fn checkpoint_rollback_across_the_u8_to_u16_width_boundary() {
-    // A source transition pumps `p`; a drain consumes 2 at a time. The session starts
-    // in the u8 arena, checkpoints below 255 tokens, is forced into u16 by saturation,
-    // and must roll back across the widening without losing a token.
-    let mut b = NetBuilder::new("pump-drain");
-    let pump = b.transition("pump");
-    let p = b.place("p", 0);
+fn firing_into_a_full_place_is_token_overflow_and_changes_nothing() {
+    // `p` holds `u64::MAX` tokens. `fill` adds to `q` before it adds to `p`, so its delta
+    // row fails in the middle and the session must undo the half it applied. Like the
+    // checked `PetriNet::fire`, the firing is a `TokenOverflow` on `p`; unlike it, the
+    // session leaves both the marking and the token total exactly as they were.
+    let mut b = NetBuilder::new("full");
+    let p = b.place("p", u64::MAX);
+    let q = b.place("q", 0);
+    let fill = b.transition("fill");
     let drain = b.transition("drain");
-    b.arc_t_p(pump, p, 1).unwrap();
-    b.arc_p_t(p, drain, 2).unwrap();
+    b.arc_t_p(fill, q, 1).unwrap();
+    b.arc_t_p(fill, p, 1).unwrap();
+    b.arc_p_t(p, drain, 1).unwrap();
     let net = b.build().unwrap();
-    let p = net.place_by_name("p").unwrap();
-    let pump = net.transition_by_name("pump").unwrap();
-    let drain = net.transition_by_name("drain").unwrap();
 
     let mut session = FiringSession::new(&net);
-    assert_eq!(session.token_width(), TokenWidth::U8);
-
-    for _ in 0..200 {
-        session.fire(pump).unwrap();
-    }
-    let at_200 = session.checkpoint();
-    assert_eq!(session.token_width(), TokenWidth::U8, "200 tokens fit u8");
-
-    // Push past 255: the u8 arena saturates and the session widens to u16 mid-trace.
-    for _ in 0..100 {
-        session.fire(pump).unwrap();
-    }
-    assert_eq!(session.token_width(), TokenWidth::U16);
-    assert_eq!(session.tokens_of(p), 300);
-    let at_300 = session.checkpoint();
-
-    // Rolling back to a checkpoint taken *before* the widening restores the exact
-    // marking (the arena was widened in place, value-preserving).
-    session.rollback(at_200);
-    assert_eq!(session.tokens_of(p), 200);
-    assert_eq!(session.total_tokens(), 200);
+    let mut checked = net.initial_marking().clone();
     assert_eq!(
-        session.token_width(),
-        TokenWidth::U16,
-        "widths never narrow"
+        net.fire(&mut checked, fill),
+        Err(PetriError::TokenOverflow(p))
     );
+    assert_eq!(session.fire(fill), Err(PetriError::TokenOverflow(p)));
+    assert_eq!(session.marking(), *net.initial_marking());
+    assert_eq!(session.total_tokens(), u64::MAX);
+    assert!(session.is_enabled(fill), "overflow is not disabledness");
 
-    // The restored state is live: drain below the u8 range again and re-checkpoint.
-    for _ in 0..100 {
-        session.fire(drain).unwrap();
-    }
-    assert_eq!(session.tokens_of(p), 0);
-    // Checkpoints taken at u8 width are still found by value after widening.
-    assert_eq!(session.checkpoint_marking(at_200).tokens(p), 200);
-    assert_eq!(session.checkpoint_marking(at_300).tokens(p), 300);
-    session.rollback(at_300);
-    assert_eq!(session.tokens_of(p), 300);
-
-    // And the whole journey matched what the safe token game would have computed.
-    let mut marking = net.initial_marking().clone();
-    for _ in 0..300 {
-        net.fire(&mut marking, pump).unwrap();
-    }
-    assert_eq!(session.marking(), marking);
+    // One token of room makes the same firing succeed, and then fail again.
+    session.fire(drain).unwrap();
+    session.fire(fill).unwrap();
+    assert_eq!(session.tokens_of(p), u64::MAX);
+    assert_eq!(session.tokens_of(q), 1);
+    assert_eq!(session.fire(fill), Err(PetriError::TokenOverflow(p)));
+    assert_eq!(session.tokens_of(q), 1);
+    // The total is kept modulo 2^64: `u64::MAX + 1` tokens read 0.
+    assert_eq!(session.total_tokens(), 0);
 }
 
 #[test]
@@ -332,13 +306,12 @@ fn functional_fast_path_matches_naive_reference() {
 }
 
 #[test]
-fn batch_reuse_survives_token_width_widening() {
-    // The daemon's reuse pattern: one batch, many runs, on a net whose token counts
-    // saturate the narrow u8 arena mid-run (a place must accumulate 256 tokens
-    // before its consumer fires). The start checkpoint is recorded at u8 width;
-    // later runs roll back across the widening boundary and must still reproduce a
-    // fresh seed simulator bit for bit.
-    let mut b = NetBuilder::new("widening");
+fn batch_reuse_matches_a_fresh_simulator_on_every_run() {
+    // The daemon's reuse pattern: one batch, many runs, on a net where a place must
+    // accumulate 256 tokens before its consumer fires, so runs of different lengths
+    // leave different markings behind. Every run resets the shared session and must
+    // still reproduce a fresh seed simulator bit for bit.
+    let mut b = NetBuilder::new("accumulate");
     let t_in = b.transition("t_in");
     let t_out = b.transition("t_out");
     let t_sink = b.transition("t_sink");
@@ -356,9 +329,8 @@ fn batch_reuse_survives_token_width_widening() {
     let cost = CostModel::default();
     let src = net.transition_by_name("t_in").unwrap();
     let mut batch = FunctionalSimBatch::new(&net, &tasks, &cost).unwrap();
-    // 600 events push `p` through the u8 saturation point twice; 300 crosses once;
-    // 100 stays narrow. Interleave so rollback happens before, across and after the
-    // widening.
+    // 600 events fill `p` to 256 twice; 300 once; 100 never. Interleave them so every
+    // reset follows a run of a different length.
     for events in [600usize, 100, 300, 600] {
         let workload = Workload::periodic(src, 1, events, 0);
         let mut batch_resolver = FixedResolver::default();

@@ -6,14 +6,14 @@
 //! the number of cycles equals the number of choice resolutions.
 //!
 //! The second half holds the state-space engine to its contract: the arena-interned
-//! explorer ([`StateSpace`]), at every token width, must discover *exactly* the same
-//! markings, edges, frontier and dead markings as the seed breadth-first explorer
-//! ([`oracle::explore_naive`]) on every gallery net and on randomly generated nets,
-//! bounded or truncated.
+//! explorer ([`StateSpace`]) must discover *exactly* the same markings, edges, frontier
+//! and dead markings as the seed breadth-first explorer ([`oracle::explore_naive`]) on
+//! every gallery net and on randomly generated nets, bounded, truncated or one firing
+//! away from `u64::MAX`.
 
 use fcpn::codegen::{synthesize, Interpreter, SynthesisOptions};
 use fcpn::petri::analysis::{IncidenceMatrix, InvariantAnalysis, ReachabilityOptions};
-use fcpn::petri::statespace::{ExploreOptions, StateSpace, TokenWidth};
+use fcpn::petri::statespace::{ExploreOptions, StateSpace};
 use fcpn::petri::{gallery, NetBuilder, PetriNet, PlaceId, TransitionId};
 use fcpn::qss::{quasi_static_schedule, QssOptions, QssOutcome};
 use fcpn::sdf::{FiringPolicy, SdfGraph};
@@ -343,12 +343,11 @@ fn naive_can_eventually_fire(
     can
 }
 
-/// Asserts the engine, at every token width, and the naive explorer agree bit-for-bit on
-/// `net`: same markings in the same discovery order, same edges, same
-/// completeness/frontier, same dead markings, same largest token count and the same
-/// backward-reachability verdicts for every transition; every marking is found again
-/// through the engine's interner.
-fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &str) {
+/// Asserts the engine and the naive explorer agree bit-for-bit on `net`: same markings
+/// in the same discovery order, same edges, same completeness/frontier, same dead
+/// markings, same largest token count and the same backward-reachability verdicts for
+/// every transition; every marking is found again through the engine's interner.
+fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, tag: &str) {
     let naive = oracle::explore_naive(net, options);
     let naive_dead = naive_dead_markings(&naive);
     let naive_max = naive
@@ -357,84 +356,72 @@ fn assert_engines_agree(net: &PetriNet, options: ReachabilityOptions, label: &st
         .map(|m| m.max_tokens())
         .max()
         .unwrap_or(0);
-    for width in [
-        TokenWidth::U8,
-        TokenWidth::U16,
-        TokenWidth::U64,
-        TokenWidth::Auto,
-    ] {
-        let space = StateSpace::explore_with(
-            net,
-            &ExploreOptions {
-                reach: options,
-                width,
-                ..ExploreOptions::default()
-            },
-        );
-        let tag = format!("{label} [{width:?}]");
+    let space = StateSpace::explore(net, options);
+    assert_eq!(
+        space.state_count(),
+        naive.markings.len(),
+        "{tag}: state count"
+    );
+    assert_eq!(space.edge_count(), naive.edges.len(), "{tag}: edge count");
+    assert_eq!(space.is_complete(), naive.complete, "{tag}: completeness");
+    for (id, tokens) in space.states().enumerate() {
+        assert_eq!(tokens, naive.markings[id].as_slice(), "{tag}: marking {id}");
+    }
+    let engine_edges: Vec<(usize, TransitionId, usize)> = space
+        .edges()
+        .map(|(from, t, to)| (from as usize, t, to as usize))
+        .collect();
+    assert_eq!(engine_edges, naive.edges, "{tag}: edges");
+    let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
+    assert_eq!(engine_frontier, naive.frontier, "{tag}: frontier");
+    let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
+    assert_eq!(engine_dead, naive_dead, "{tag}: dead markings");
+    assert_eq!(space.max_tokens_observed(), naive_max, "{tag}: max tokens");
+    for t in net.transitions() {
         assert_eq!(
-            space.state_count(),
-            naive.markings.len(),
-            "{tag}: state count"
+            space.can_eventually_fire(net, t),
+            naive_can_eventually_fire(&naive, net, t),
+            "{tag}: can_eventually_fire({t:?})"
         );
-        assert_eq!(space.edge_count(), naive.edges.len(), "{tag}: edge count");
-        assert_eq!(space.is_complete(), naive.complete, "{tag}: completeness");
-        for (id, tokens) in space.states().enumerate() {
-            assert_eq!(tokens, naive.markings[id].as_slice(), "{tag}: marking {id}");
-        }
-        let engine_edges: Vec<(usize, TransitionId, usize)> = space
-            .edges()
-            .map(|(from, t, to)| (from as usize, t, to as usize))
-            .collect();
-        assert_eq!(engine_edges, naive.edges, "{tag}: edges");
-        let engine_frontier: Vec<usize> = space.frontier().iter().map(|&s| s as usize).collect();
-        assert_eq!(engine_frontier, naive.frontier, "{tag}: frontier");
-        let engine_dead: Vec<usize> = space.dead_states().iter().map(|&s| s as usize).collect();
-        assert_eq!(engine_dead, naive_dead, "{tag}: dead markings");
-        assert_eq!(space.max_tokens_observed(), naive_max, "{tag}: max tokens");
-        for t in net.transitions() {
-            assert_eq!(
-                space.can_eventually_fire(net, t),
-                naive_can_eventually_fire(&naive, net, t),
-                "{tag}: can_eventually_fire({t:?})"
-            );
-        }
-        for (id, marking) in naive.markings.iter().enumerate() {
-            assert_eq!(
-                space.index_of(marking),
-                Some(id as u32),
-                "{tag}: interner lookup"
-            );
-        }
+    }
+    for (id, marking) in naive.markings.iter().enumerate() {
+        assert_eq!(
+            space.index_of(marking),
+            Some(id as u32),
+            "{tag}: interner lookup"
+        );
     }
 }
 
-/// Asserts every engine variant — narrow `u8`/`u16` arenas and the automatic width —
-/// produces exactly the canonical graph the `u64` engine does: same markings in the
-/// same id order, same edge lists, same completeness/frontier and same dead markings.
+/// Asserts every engine variant the options can select — a `threads` value other than
+/// 1, and armed guards (a live cancellation token and a memory budget the exploration
+/// never reaches) — produces exactly the graph the default options produce: same
+/// markings in the same id order, same edge lists, same completeness/frontier, same
+/// dead markings and the same interner lookups.
 fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label: &str) {
-    let baseline = StateSpace::explore_with(
-        net,
-        &ExploreOptions {
-            reach: options,
-            width: TokenWidth::U64,
-            ..ExploreOptions::default()
-        },
-    );
+    let baseline = StateSpace::explore(net, options);
     let variants = [
-        ("u8", TokenWidth::U8),
-        ("u16", TokenWidth::U16),
-        ("auto", TokenWidth::Auto),
-    ];
-    for (name, width) in variants {
-        let space = StateSpace::explore_with(
-            net,
-            &ExploreOptions {
+        (
+            "threads=2",
+            ExploreOptions {
                 reach: options,
-                width,
+                threads: 2,
                 ..ExploreOptions::default()
             },
-        );
+        ),
+        (
+            "armed-guards",
+            ExploreOptions {
+                reach: options,
+                threads: 1,
+                cancel: fcpn::petri::cancel::CancelToken::new(),
+                memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
+            },
+        ),
+    ];
+    for (name, explore) in variants {
+        let space = StateSpace::try_explore_with(net, &explore)
+            .expect("armed-but-unreached guards never interrupt");
         let tag = format!("{label} [{name}]");
         assert_eq!(space.state_count(), baseline.state_count(), "{tag}: states");
         assert_eq!(space.edge_count(), baseline.edge_count(), "{tag}: edges");
@@ -460,37 +447,6 @@ fn assert_variants_canonical(net: &PetriNet, options: ReachabilityOptions, label
                 "{tag}: interner lookup of {id}"
             );
         }
-    }
-    // Armed but never-tripped guards — a live cancellation token and a memory budget
-    // the exploration never reaches — are pure observation: the graph they yield must
-    // be the canonical one, bit for bit.
-    let watched = StateSpace::try_explore_with(
-        net,
-        &ExploreOptions {
-            reach: options,
-            threads: 1,
-            width: TokenWidth::U64,
-            cancel: fcpn::petri::cancel::CancelToken::new(),
-            memory: fcpn::petri::MemoryBudget::with_limit(1 << 40),
-        },
-    )
-    .expect("armed-but-unreached guards never interrupt");
-    let tag = format!("{label} [armed-guards]");
-    assert_eq!(
-        watched.state_count(),
-        baseline.state_count(),
-        "{tag}: states"
-    );
-    assert_eq!(watched.edge_count(), baseline.edge_count(), "{tag}: edges");
-    for id in 0..baseline.state_count() as u32 {
-        assert_eq!(
-            watched.tokens(id),
-            baseline.tokens(id),
-            "{tag}: marking {id}"
-        );
-        let base_row: Vec<_> = baseline.successors(id).collect();
-        let row: Vec<_> = watched.successors(id).collect();
-        assert_eq!(row, base_row, "{tag}: out-edges of {id}");
     }
 }
 
@@ -571,7 +527,7 @@ fn engine_variants_are_canonical_on_every_gallery_net() {
 #[test]
 fn engine_variants_are_canonical_on_random_nets() {
     // 64 seeded random nets in total (48 dense + 16 free-choice trees), each checked
-    // across every width variant plus the armed-guards (live token + budget) path.
+    // under `threads: 2` and on the armed-guards (live token + budget) path.
     for seed in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(0xACE ^ seed);
         let net = random_net(&mut rng);
@@ -590,9 +546,11 @@ fn engine_variants_are_canonical_on_random_nets() {
 
 #[test]
 fn memory_exhaustion_is_deterministic_across_engines() {
-    // The budget charges the canonical cost model in admission order, so the same net
-    // under the same byte limit must fail with a typed exhaustion error, and with the
-    // *same* one — same stage, same requested_bytes — on every run.
+    // The budget charges the canonical cost model (8 bytes per place plus 32 per state,
+    // 8 per edge) in admission order, so the same net under the same byte limit must
+    // fail with a typed exhaustion error, and with the *same* one — same stage, same
+    // requested_bytes — on every run. The meter refills in 64 KiB chunks, so the failing
+    // request is one chunk.
     for (label, net, limit) in [
         ("figure5", fcpn::petri::gallery::figure5(), 2_000u64),
         (
@@ -606,35 +564,36 @@ fn memory_exhaustion_is_deterministic_across_engines() {
             max_markings: 200_000,
             max_tokens_per_place: 16,
         };
-        // Per-state cost is a function of the token width, so each width is its own
-        // case (Auto resolves identically for the same net).
-        for width in [TokenWidth::U64, TokenWidth::Auto] {
-            let exhaust = || {
-                StateSpace::try_explore_with(
-                    &net,
-                    &ExploreOptions {
-                        reach,
-                        width,
-                        memory: fcpn::petri::MemoryBudget::with_limit(limit),
-                        ..ExploreOptions::default()
-                    },
-                )
-                .expect_err("tight budget must exhaust")
-            };
-            let first = exhaust();
-            assert!(
-                matches!(first, fcpn::petri::Interrupt::Exhausted(_)),
-                "{label} [{width:?}]: expected an exhaustion error, got {first:?}"
-            );
-            assert_eq!(exhaust(), first, "{label} [{width:?}]: a rerun diverged");
-        }
+        let exhaust = || {
+            StateSpace::try_explore_with(
+                &net,
+                &ExploreOptions {
+                    reach,
+                    memory: fcpn::petri::MemoryBudget::with_limit(limit),
+                    ..ExploreOptions::default()
+                },
+            )
+            .expect_err("tight budget must exhaust")
+        };
+        let first = exhaust();
+        assert_eq!(
+            first,
+            fcpn::petri::Interrupt::Exhausted(fcpn::petri::budget::ResourceExhausted {
+                limit_bytes: limit,
+                requested_bytes: 65_536,
+                stage: "reachability",
+            }),
+            "{label}"
+        );
+        assert_eq!(exhaust(), first, "{label}: a rerun diverged");
     }
 }
 
 #[test]
 fn engine_variants_are_canonical_under_tight_budgets() {
     // Budget truncation is where discovery order matters most: which states fall inside
-    // the budget depends on it, so this pins every width's admission order byte-for-byte.
+    // the budget depends on it, so this pins every variant's admission order
+    // byte-for-byte.
     let net = gallery::figure5();
     for max_markings in [1usize, 2, 7, 50, 333] {
         assert_variants_canonical(
@@ -725,5 +684,42 @@ fn engine_matches_naive_on_random_free_choice_trees() {
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ seed);
         let net = free_choice_tree(&mut rng);
         assert_engines_agree(&net, truncated(), &format!("fc tree seed {seed}"));
+    }
+}
+
+#[test]
+fn engine_drops_overflowing_edges_like_naive_near_u64_max() {
+    // `p` starts one firing away from `u64::MAX`. `add1` fills it; `add2` overflows at
+    // once; `both` grows `q` before it overflows `p`, so its delta row must be undone
+    // from the middle; `move` drains `p` into `q`. Every overflowing firing is a
+    // dropped edge, exactly as the checked token game's `TokenOverflow` drops it.
+    let mut b = NetBuilder::new("near-max");
+    let p = b.place("p", u64::MAX - 1);
+    let q = b.place("q", 0);
+    let add1 = b.transition("add1");
+    let add2 = b.transition("add2");
+    let both = b.transition("both");
+    let drain = b.transition("move");
+    b.arc_t_p(add1, p, 1).unwrap();
+    b.arc_t_p(add2, p, 2).unwrap();
+    b.arc_t_p(both, q, 1).unwrap();
+    b.arc_t_p(both, p, 1).unwrap();
+    b.arc_p_t(p, drain, 1).unwrap();
+    b.arc_t_p(drain, q, 1).unwrap();
+    let net = b.build().unwrap();
+    // Without a cut-off every state is expanded (truncated by the state budget); one
+    // below the maximum, full places land on the frontier instead.
+    for max_tokens_per_place in [u64::MAX, u64::MAX - 1] {
+        let options = ReachabilityOptions {
+            max_markings: 40,
+            max_tokens_per_place,
+        };
+        let tag = format!("near-max cut-off {max_tokens_per_place}");
+        assert_engines_agree(&net, options, &tag);
+        let space = StateSpace::explore(&net, options);
+        // From the start, `add2` overflows and is dropped while the other three fire.
+        let first: Vec<TransitionId> = space.successors(0).map(|(t, _)| t).collect();
+        assert_eq!(first, vec![add1, both, drain], "{tag}");
+        assert_eq!(space.max_tokens_observed(), u64::MAX, "{tag}");
     }
 }
